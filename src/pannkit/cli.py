@@ -101,7 +101,7 @@ def default_config() -> dict:
         "rates": {"scale_c": 1.0, "clamp": [1e-7, 10.0], "window_accrual": 0.95},
         "strategies": list(STRATEGY_LABELS),
         "mc": {"n_z_pairs": 100000, "n_theta_pairs": 10000, "n_theta_samples": 10000},
-        "settle": {"max_cycles": 200, "tol": 1e-9},
+        "settle": {"tol": 1e-9},
         "seed": 0,
     }
 
@@ -117,6 +117,8 @@ class ExperimentConfig:
         merged = {}
         for key, dval in defaults.items():
             if isinstance(dval, dict):
+                if not isinstance(raw.get(key, {}), dict):
+                    raise ConfigError(f"config section '{key}' must be a mapping")
                 sub = dict(dval)
                 allowed = set(dval) | ({"a", "b"} if key == "model" else set())
                 extra = set(raw.get(key, {})) - allowed
@@ -181,6 +183,8 @@ class ExperimentConfig:
         rt = merged["rates"]
         self.scale_c = float(rt["scale_c"])
         self.rate_clamp = (float(rt["clamp"][0]), float(rt["clamp"][1]))
+        if not (0.0 < self.rate_clamp[0] <= self.rate_clamp[1]):
+            raise ConfigError(f"rates.clamp must satisfy 0 < low <= high, got {rt['clamp']}")
         self.window_accrual = float(rt["window_accrual"])
         if not (0.0 < self.window_accrual <= 1.0):
             raise ConfigError(f"window_accrual must lie in (0, 1], got {self.window_accrual}")
@@ -195,9 +199,7 @@ class ExperimentConfig:
         self.n_theta_pairs = int(mc["n_theta_pairs"])
         self.n_theta_samples = int(mc["n_theta_samples"])
 
-        st = merged["settle"]
-        self.settle_max_cycles = int(st["max_cycles"])
-        self.settle_tol = float(st["tol"])
+        self.settle_tol = float(merged["settle"]["tol"])
         self.seed = int(merged["seed"])
 
         if self.model_kind == "dab":
@@ -276,6 +278,18 @@ def _write_json(data: dict, path: Path) -> None:
         fh.write("\n")
 
 
+def _save_datasets(datasets: Dict[str, WaveformDataset], out: Path, seed: int) -> List[Path]:
+    """Save every non-empty role; returns the segment files written. The
+    dataset manifests are left out: the run manifest attests no manifest.json."""
+    written: List[Path] = []
+    for role in _ROLES:
+        if datasets[role].segments:
+            manifest = save_dataset(datasets[role], out / "dataset" / role, seed=seed)
+            entries = json.loads(manifest.read_text())["segments"]
+            written += [manifest.parent / entry["file"] for entry in entries]
+    return written
+
+
 def synth_role_datasets(config: ExperimentConfig) -> Dict[str, WaveformDataset]:
     config.require_dab("dataset synthesis")
     counts = {"train": config.n_train, "test": config.n_test, "validation": config.n_validation}
@@ -303,7 +317,6 @@ def synth_role_datasets(config: ExperimentConfig) -> Dict[str, WaveformDataset]:
             seed=config.seed,
             role=role,
             index_base=role_index * 1_000_000,
-            settle_max_cycles=config.settle_max_cycles,
             settle_tol=config.settle_tol,
         )
     return out
@@ -325,11 +338,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
     config = _apply_overrides(load_config(args.config), args)
     out = _resolve_out(args.out)
     datasets = synth_role_datasets(config)
+    _save_datasets(datasets, out, config.seed)
     for role in _ROLES:
-        ds = datasets[role]
-        if ds.segments:
-            save_dataset(ds, out / "dataset" / role, seed=config.seed)
-        print(f"{role}: {len(ds.segments)} segments, {ds.n_steps} steps")
+        print(f"{role}: {len(datasets[role].segments)} segments, {datasets[role].n_steps} steps")
     _echo_config(config, out)
     return 0
 
@@ -346,30 +357,20 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         )
         theta = config.theta_params(values)  # raises OutOfBounds for bad values
         trans = transition_values(model, theta.values, config.dt)
-        spec = ModulationSpec(
-            config.v_in, config.v_out, config.f_s, config.phase_shift, config.dt, 1
-        )
-        inputs = step_inputs_one_period(spec)
     else:
         trans = transition_values(model, np.array([]), config.dt)
-        if model.dim_u == 2:
-            spec = ModulationSpec(
-                config.v_in, config.v_out, config.f_s, config.phase_shift, config.dt, 1
-            )
-            inputs = step_inputs_one_period(spec)
-        else:
-            p = round(1.0 / (config.f_s * config.dt))
-            inputs = np.zeros((model.dim_u, p))
-    settled = settle_to_steady_state(
-        trans, inputs, max_cycles=config.settle_max_cycles, tol=config.settle_tol
-    )
+    if model.dim_u == 2:
+        inputs = step_inputs_one_period(config._probe_spec())
+    else:
+        inputs = np.zeros((model.dim_u, round(1.0 / (config.f_s * config.dt))))
+    settled = settle_to_steady_state(trans, inputs, tol=config.settle_tol)
     traj = settled.trajectory
     out.mkdir(parents=True, exist_ok=True)
     _write_trajectory_csv(traj, out / "trajectory.csv")
     _echo_config(config, out)
     print(
         f"settled={settled.converged} cycles={settled.cycles} "
-        f"samples={traj.inputs.shape[1]}"
+        f"residual={settled.residual:.3g} samples={traj.inputs.shape[1]}"
     )
     return 0
 
@@ -616,16 +617,22 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _persist_sweep(config, out: Path, comparison: dict, summaries: Dict[str, dict]) -> None:
+def _persist_sweep(
+    config, out: Path, comparison: dict, summaries: Dict[str, dict]
+) -> List[Path]:
+    """Write traces, summaries, the comparison and the config; returns their paths."""
     train_dir = out / "train"
+    written: List[Path] = []
     for label, summary in summaries.items():
         trace = summary.pop("_trace")
         sdir = train_dir / label
         sdir.mkdir(parents=True, exist_ok=True)
         write_trace_csv(trace, sdir / "trace.csv")
         _write_json({**summary, "config": config.to_dict()}, sdir / "summary.json")
+        written += [sdir / "trace.csv", sdir / "summary.json"]
     _write_json(comparison, train_dir / "comparison.json")
     _echo_config(config, out)
+    return written + [train_dir / "comparison.json", out / "config.yaml"]
 
 
 def _check_sweep(config: ExperimentConfig, comparison: dict, summaries: Dict[str, dict]) -> List[str]:
@@ -693,17 +700,15 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     config = _apply_overrides(load_config(args.config), args)
     out = _resolve_out(args.out)
     datasets = synth_role_datasets(config)
-    for role in _ROLES:
-        ds = datasets[role]
-        if ds.segments:
-            save_dataset(ds, out / "dataset" / role, seed=config.seed)
+    written = _save_datasets(datasets, out, config.seed)
     reports = compute_lipschitz_reports(config, datasets["train"])
     rep_dir = out / "lipschitz"
     rep_dir.mkdir(parents=True, exist_ok=True)
     for name, report in reports.items():
         report.save(rep_dir / f"{name}.json")
+        written.append(rep_dir / f"{name}.json")
     comparison, summaries = run_strategy_sweep(config, datasets["train"], reports)
-    _persist_sweep(config, out, comparison, summaries)
+    written += _persist_sweep(config, out, comparison, summaries)
 
     check_results = None
     if args.check:
@@ -713,6 +718,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
             failures.append("L1z MC estimate below 0.99 of the theoretical value")
         check_results = {"failures": failures, "passed": not failures}
         _write_json(check_results, out / "check.json")
+        written.append(out / "check.json")
         for msg in failures:
             print(f"CHECK FAIL: {msg}")
         if not failures:
@@ -721,7 +727,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     manifest = {
         "seed": config.seed,
         "config": config.to_dict(),
-        "files": _hash_tree(out),
+        "files": _hash_tree(out, written),
     }
     _write_json(manifest, out / "manifest.json")
     print(f"wrote {out / 'manifest.json'} ({len(manifest['files'])} artifacts)")
@@ -730,13 +736,12 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     return 0
 
 
-def _hash_tree(root: Path) -> Dict[str, str]:
-    files = {}
-    for path in sorted(root.rglob("*")):
-        if path.is_file() and path.name != "manifest.json":
-            digest = hashlib.sha256(path.read_bytes()).hexdigest()
-            files[path.relative_to(root).as_posix()] = digest
-    return files
+def _hash_tree(root: Path, written: List[Path]) -> Dict[str, str]:
+    """sha256 of each file this run wrote, keyed by its path under root."""
+    return {
+        path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in written
+    }
 
 
 def _apply_overrides(config: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:

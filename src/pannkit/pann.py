@@ -78,8 +78,21 @@ def step(trans: DiscreteTransition, z: StepInput) -> np.ndarray:
     return trans.w @ zz
 
 
-def rollout_free(trans: DiscreteTransition, x0: np.ndarray, inputs: np.ndarray, t0: float = 0.0) -> Trajectory:
-    """Free-running rollout: each step feeds on the previous prediction."""
+def _matvec(rows: list, z: list) -> list:
+    """W z on floats, each row summed left to right: (w_0 z_0 + w_1 z_1) + ..."""
+    out = []
+    for row in rows:
+        acc = row[0] * z[0]
+        for j in range(1, len(z)):
+            acc += row[j] * z[j]
+        out.append(acc)
+    return out
+
+
+def rollout_free(trans: DiscreteTransition, x0: np.ndarray, inputs: np.ndarray) -> Trajectory:
+    """Free-running rollout: each step feeds on the previous prediction and
+    equals w_0 x + w_1 u_0 + ... summed left to right (a BLAS matvec may fuse
+    or reorder). Overflow is checked once, at the end, naming the first step."""
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
     d_x = trans.dim_x
@@ -91,19 +104,20 @@ def rollout_free(trans: DiscreteTransition, x0: np.ndarray, inputs: np.ndarray, 
     k_steps = inputs.shape[1]
     if k_steps < 1:
         raise ShapeMismatch("rollout needs at least one input column")
-    states = np.empty((d_x, k_steps + 1))
-    states[:, 0] = x0
-    w = trans.w
-    x = x0.copy()
-    for k in range(k_steps):
-        x = w @ np.concatenate([x, inputs[:, k]])
-        if np.any(np.abs(x) > _OVERFLOW_LIMIT) or not np.all(np.isfinite(x)):
-            raise NonFinite(
-                f"state magnitude exceeded {_OVERFLOW_LIMIT:g} at step {k + 1}; "
-                "the discretized model is unstable for these inputs"
-            )
-        states[:, k + 1] = x
-    times = t0 + trans.dt * np.arange(k_steps + 1)
+    rows = trans.w.tolist()
+    x = x0.tolist()
+    columns = [x]
+    for u in inputs.T.tolist():
+        x = _matvec(rows, x + u)
+        columns.append(x)
+    states = np.array(columns).T
+    in_range = np.all(np.abs(states[:, 1:]) <= _OVERFLOW_LIMIT, axis=0)
+    if not np.all(in_range):
+        raise NonFinite(
+            f"state magnitude exceeded {_OVERFLOW_LIMIT:g} at step {int(np.argmin(in_range)) + 1}; "
+            "the discretized model is unstable for these inputs"
+        )
+    times = trans.dt * np.arange(k_steps + 1)
     return Trajectory(times, states, inputs)
 
 
@@ -121,41 +135,28 @@ class SettleResult(NamedTuple):
     trajectory: Trajectory
     converged: bool
     cycles: int
+    residual: float
 
 
 def settle_to_steady_state(
     trans: DiscreteTransition,
     inputs_one_period: np.ndarray,
-    max_cycles: int = 200,
     tol: float = 1e-9,
-    x0: np.ndarray | None = None,
 ) -> SettleResult:
-    """Repeat one period of inputs until the cycle-to-cycle state change
-    falls below tol relative to the state scale; returns the last period.
-
-    converged=False (the not-settled flag) when max_cycles runs out.
-    """
+    """One period of the periodic steady state, in closed form: a period maps
+    x to Phi x + x_P(0) (Phi = W_x^P, x_P(0) the end of a run from zero), so
+    the orbit starts at x_0 = (I - Phi)^-1 x_P(0); NonFinite if W_x has
+    spectral radius >= 1. The period from x_0 is the second rolled out;
+    converged means its residual max|x_P - x_0| is within tol * state scale."""
     inputs = np.atleast_2d(np.asarray(inputs_one_period, dtype=float))
-    p = inputs.shape[1]
-    if p < 1:
-        raise ShapeMismatch("period must contain at least one step")
-    if max_cycles < 1:
-        raise ShapeMismatch("max_cycles must be at least 1")
     d_x = trans.dim_x
-    x = np.zeros(d_x) if x0 is None else np.atleast_1d(np.asarray(x0, dtype=float)).copy()
-    prev = None
-    traj = None
-    converged = False
-    cycles = 0
-    for c in range(max_cycles):
-        traj = rollout_free(trans, x, inputs, t0=c * p * trans.dt)
-        x = traj.states[:, -1]
-        cycles = c + 1
-        if prev is not None:
-            scale = max(float(np.max(np.abs(traj.states))), 1e-300)
-            change = float(np.max(np.abs(traj.states - prev)))
-            if change <= tol * scale:
-                converged = True
-                break
-        prev = traj.states.copy()
-    return SettleResult(traj, converged, cycles)
+    w_x = trans.w[:, :d_x]
+    radius = float(np.max(np.abs(np.linalg.eigvals(w_x))))
+    if not radius < 1.0:
+        raise NonFinite(f"W_x has spectral radius {radius:.6g} >= 1: no periodic steady state")
+    traj = rollout_free(trans, np.zeros(d_x), inputs)
+    phi = np.linalg.matrix_power(w_x, inputs.shape[1])
+    x0 = np.linalg.solve(np.eye(d_x) - phi, traj.states[:, -1])
+    traj = rollout_free(trans, x0, inputs)
+    residual = float(np.max(np.abs(traj.states[:, -1] - traj.states[:, 0])))
+    return SettleResult(traj, bool(residual <= tol * np.max(np.abs(traj.states))), 2, residual)

@@ -173,16 +173,16 @@ def synthesize_dataset(
     seed: int = 0,
     role: str = "train",
     index_base: int = 0,
-    settle_max_cycles: int = 200,
     settle_tol: float = 1e-9,
 ) -> WaveformDataset:
     """Settle the true-parameter model at each operating point and emit one
     period of (z, target) pairs per spec.
 
-    Targets are generated by applying the true transition to the emitted z
-    states, so they satisfy the recurrence exactly; noise (if any) perturbs
-    only the measured-state row of z. Deterministic given seed; each segment
-    draws noise from its own substream keyed by index_base + position.
+    The settled period is the emitted one: its states are the z states and,
+    shifted by one step, the targets, so the targets satisfy the recurrence
+    exactly; noise (if any) perturbs only the measured-state row of z.
+    Deterministic given seed; each segment draws noise from its own
+    substream keyed by index_base + position.
     """
     if not theta_true.contains(theta_true.values):
         raise OutOfBounds(f"theta_true {theta_true.values} outside its box")
@@ -192,22 +192,14 @@ def synthesize_dataset(
     for i, spec in enumerate(specs):
         trans = dab_transition(theta_true, spec.dt)
         u_block = step_inputs_one_period(spec)
-        settled = settle_to_steady_state(
-            trans, u_block, max_cycles=settle_max_cycles, tol=settle_tol
-        )
-        p = spec.steps_per_period
-        w = trans.w[0]
-        xs = np.empty(p + 1)
-        xs[0] = settled.trajectory.states[0, -1]
-        for k in range(p):
-            xs[k + 1] = w[0] * xs[k] + w[1] * u_block[0, k] + w[2] * u_block[1, k]
-        states = xs[:-1].copy()
+        settled = settle_to_steady_state(trans, u_block, tol=settle_tol)
+        xs = settled.trajectory.states
+        states = xs[0, :-1]
         if noise_sigma > 0.0:
             rng = substream(seed, DOMAIN_NOISE, index_base + i)
-            states = states + rng.normal(0.0, noise_sigma, size=p)
+            states = states + rng.normal(0.0, noise_sigma, size=spec.steps_per_period)
         z = np.vstack([states, u_block])
-        targets = xs[1:][np.newaxis, :]
-        segments.append(Segment(z, targets, spec, noise_sigma, settled.converged))
+        segments.append(Segment(z, xs[:, 1:], spec, noise_sigma, settled.converged))
     return WaveformDataset(segments, role=role)
 
 

@@ -36,10 +36,7 @@ def box_domain(star, train_dataset):
     return pk.DomainSpec(star.lower, star.upper, train_dataset.z_bounds(), star.values)
 
 
-def quick_dataset(theta_true_values, phase, dt=pk.DEFAULT_DT, settle_max_cycles=2):
-    """Small single-segment dataset; settling is truncated because derivative
-    and dominance checks need exact recurrence pairs, not steady state."""
+def quick_dataset(theta_true_values, phase, dt=pk.DEFAULT_DT):
+    """Small single-segment dataset: one settled period at the given phase."""
     spec = pk.ModulationSpec(200.0, 200.0, pk.DEFAULT_FS, float(phase), dt, 1)
-    return pk.synthesize_dataset(
-        pk.dab_params(theta_true_values), [spec], seed=0, settle_max_cycles=settle_max_cycles
-    )
+    return pk.synthesize_dataset(pk.dab_params(theta_true_values), [spec], seed=0)

@@ -1,5 +1,6 @@
 """End-to-end command checks: config handling, artifact layout, determinism,
 and the exit-code contract."""
+import hashlib
 import json
 from pathlib import Path
 
@@ -73,6 +74,18 @@ def test_config_rejects_unknown_sections(tmp_path):
     path.write_text("bogus_section:\n  x: 1\n")
     with pytest.raises(pk.ConfigError):
         load_config(str(path))
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{"mc": 5}, {"rates": {"clamp": [10.0, 1e-7]}}, {"settle": {"max_cycles": 200}}],
+    ids=["scalar-section", "reversed-clamp", "removed-settle-key"],
+)
+def test_malformed_config_is_a_config_error(tmp_path, capsys, overrides):
+    path = write_config(tmp_path, overrides)
+    assert main(["synth", "--config", path, "--out", "o"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err, err
 
 
 def test_config_rejects_non_integral_steps_per_period(tmp_path, capsys):
@@ -222,6 +235,19 @@ def test_reproduce_check_fails_fast_runs(tmp_path, capsys):
     assert not check["passed"]
     assert any("S3" in msg for msg in check["failures"])
     assert "CHECK FAIL" in capsys.readouterr().out
+
+
+def test_reproduce_manifest_attests_only_this_run(tmp_path):
+    path = small_config(tmp_path)
+    first = ["reproduce", "--config", path, "--check", "--strategies", "S1,S3", "--out", "r"]
+    assert main(first) == 3
+    assert main(["reproduce", "--config", path, "--strategies", "S3", "--out", "r"]) == 0
+    files = json.loads(Path("r/manifest.json").read_text())["files"]
+    assert "check.json" not in files, "the first run's check.json is stale"
+    assert not [rel for rel in files if rel.startswith("train/S1/")], "S1 was not rerun"
+    assert "train/S3/trace.csv" in files and "dataset/train/segment_000.csv" in files
+    for rel, digest in files.items():
+        assert hashlib.sha256(Path("r", rel).read_bytes()).hexdigest() == digest, rel
 
 
 def test_out_env_var_sets_default_root(tmp_path, monkeypatch):

@@ -85,22 +85,36 @@ def test_rollout_rejects_bad_shapes(star):
         pk.rollout_free(trans, [0.0], np.zeros((2, 0)))
 
 
+def test_rollout_names_first_overflowing_step():
+    # x_k = 2^k first exceeds 1e12 at k = 40
+    trans = pk.DiscreteTransition(np.array([[2.0, 0.0, 0.0]]), None, None, DT)
+    with pytest.raises(NonFinite, match="at step 40;"):
+        pk.rollout_free(trans, [1.0], np.zeros((2, 200)))
+    # an infinite input at column 5 makes state 6 the first non-finite one
+    trans = pk.DiscreteTransition(np.array([[0.5, 1.0, 0.0]]), None, None, DT)
+    inputs = np.zeros((2, 20))
+    inputs[0, 5] = np.inf
+    with pytest.raises(NonFinite, match="at step 6;"):
+        pk.rollout_free(trans, [0.0], inputs)
+
+
 def test_settle_is_immediate_for_memoryless_map():
-    # W = [0 | 1 0]: the state equals the last input, periodic from cycle 1
+    # W = [0 | 1 0]: the state equals the last input, so the orbit is exact
     trans = pk.DiscreteTransition(np.array([[0.0, 1.0, 0.0]]), None, None, DT)
     inputs = pk.step_inputs_one_period(pk.ModulationSpec())
     settled = pk.settle_to_steady_state(trans, inputs)
-    assert settled.converged
-    # cycle 2 still differs from cycle 1 in its starting state; cycle 3 repeats
-    assert settled.cycles == 3, f"settled in {settled.cycles} cycles"
+    states = settled.trajectory.states[0]
+    assert states[0] == inputs[0, -1], "the orbit starts at the period's last input"
+    assert np.array_equal(states[1:], inputs[0]), "each state must equal the last input"
+    assert settled.converged and settled.residual == 0.0
 
 
 def test_settle_reference_converges(star):
     trans = pk.dab_transition(star, DT)
     inputs = pk.step_inputs_one_period(pk.ModulationSpec(phase_shift=0.25))
-    settled = pk.settle_to_steady_state(trans, inputs, max_cycles=200, tol=1e-9)
-    assert settled.converged, "reference model must settle within 200 cycles"
-    assert settled.cycles <= 60, f"settling took {settled.cycles} cycles"
+    settled = pk.settle_to_steady_state(trans, inputs, tol=1e-9)
+    assert settled.converged, "reference model must settle"
+    assert settled.cycles <= 2, f"settling rolled out {settled.cycles} periods"
     # the settled period must be stationary: one more period reproduces it
     last = settled.trajectory
     again = pk.rollout_free(trans, last.states[:, 0], last.inputs)
@@ -110,18 +124,19 @@ def test_settle_reference_converges(star):
 def test_settle_zero_tolerance_reports_not_settled(star):
     trans = pk.dab_transition(star, DT)
     inputs = pk.step_inputs_one_period(pk.ModulationSpec(phase_shift=0.25))
-    settled = pk.settle_to_steady_state(trans, inputs, max_cycles=5, tol=0.0)
-    assert not settled.converged, "tol=0 cannot be met in 5 cycles"
-    assert settled.cycles == 5
+    settled = pk.settle_to_steady_state(trans, inputs, tol=0.0)
+    scale = np.max(np.abs(settled.trajectory.states))
+    assert not settled.converged, "tol=0 leaves no room for rounding"
+    assert 0.0 < settled.residual <= 1e-12 * scale, (
+        f"periodic residual {settled.residual:.3e} on a state scale of {scale:.3g}"
+    )
 
 
 def test_settled_state_is_periodic_over_ten_periods(star):
     trans = pk.dab_transition(star, DT)
     spec = pk.ModulationSpec(phase_shift=0.25, n_periods=10)
     one = pk.ModulationSpec(phase_shift=0.25)
-    settled = pk.settle_to_steady_state(
-        trans, pk.step_inputs_one_period(one), max_cycles=200, tol=1e-12
-    )
+    settled = pk.settle_to_steady_state(trans, pk.step_inputs_one_period(one), tol=1e-12)
     x0 = settled.trajectory.states[:, 0]
     ten = pk.rollout_free(trans, x0, np.tile(pk.step_inputs_one_period(one), (1, 10)))
     p = spec.steps_per_period
@@ -131,6 +146,66 @@ def test_settled_state_is_periodic_over_ten_periods(star):
             f"cycle {c} deviates from the first by "
             f"{np.max(np.abs(seg - ten.states[0, :p])):.3e}"
         )
+
+
+def assert_matches_brute_force(trans, inputs, periods=200, tol=1e-9):
+    """The closed-form start x0 against `periods` periods rolled out from zero.
+
+    From zero, the state after n periods is exactly (I - Phi^n) x0 with
+    Phi = W_x^P; that is x0 itself once the transient has decayed, which on
+    the slow corner of the DAB box (large L_k, small R_L) takes far more
+    than 200 periods.
+    """
+    settled = pk.settle_to_steady_state(trans, inputs, tol=tol)
+    assert settled.converged and settled.cycles == 2
+    x0 = settled.trajectory.states[:, 0]
+    p = inputs.shape[1]
+    brute = pk.rollout_free(trans, np.zeros(trans.dim_x), np.tile(inputs, (1, periods)))
+    decay = np.linalg.matrix_power(trans.w[:, : trans.dim_x], p * periods)
+    expected = x0 - decay @ x0
+    scale = np.max(np.abs(settled.trajectory.states))
+    err = np.max(np.abs(brute.states[:, -1] - expected))
+    assert err <= tol * scale, f"brute force differs by {err:.3e} on a scale of {scale:.3g}"
+
+
+@given(
+    lk=st.floats(10e-6, 200e-6),
+    rl=st.floats(0.01, 3.0),
+    n=st.floats(0.8, 1.2),
+    phase=st.floats(0.05, 0.45),
+)
+@settings(max_examples=30, deadline=None)
+def test_closed_form_start_matches_brute_force_dab(lk, rl, n, phase):
+    trans = pk.dab_transition(pk.dab_params([lk, rl, n]), DT)
+    inputs = pk.step_inputs_one_period(pk.ModulationSpec(phase_shift=phase))
+    assert_matches_brute_force(trans, inputs)
+
+
+@given(phase=st.floats(0.05, 0.45))
+@settings(max_examples=10, deadline=None)
+def test_closed_form_start_matches_brute_force_generic(phase):
+    # complex eigenvalues -2.5e4 +- 8.7e3 i: a damped oscillator
+    model = pk.ContinuousModel(
+        dim_x=2,
+        dim_u=2,
+        dim_theta=0,
+        a_of=lambda _v: np.array([[-2e4, 1e4], [-1e4, -3e4]]),
+        b_of=lambda _v: np.array([[1e3, -1e3], [0.0, 5e2]]),
+    )
+    trans = pk.transition_values(model, np.array([]), DT)
+    inputs = pk.step_inputs_one_period(pk.ModulationSpec(phase_shift=phase))
+    assert_matches_brute_force(trans, inputs)
+
+
+@pytest.mark.parametrize(
+    "w_x", [[[1.0]], [[-2.0]], [[0.0, 1.0], [-1.0, 0.0]]], ids=["unit", "expanding", "rotation"]
+)
+def test_settle_rejects_spectral_radius_at_least_one(w_x):
+    w_x = np.array(w_x)
+    trans = pk.DiscreteTransition(np.hstack([w_x, np.ones((w_x.shape[0], 2))]), None, None, DT)
+    inputs = pk.step_inputs_one_period(pk.ModulationSpec())
+    with pytest.raises(NonFinite, match="spectral radius"):
+        pk.settle_to_steady_state(trans, inputs)
 
 
 def test_teacher_forced_matches_w_times_z(star, train_dataset):

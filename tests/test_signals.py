@@ -91,7 +91,7 @@ def test_draw_specs_rejects_bad_range():
 
 
 def test_targets_satisfy_recurrence_exactly(star):
-    ds = quick_dataset(star.values, 0.3, settle_max_cycles=50)
+    ds = quick_dataset(star.values, 0.3)
     seg = ds.segments[0]
     w = pk.dab_transition(star, DT).w[0]
     for k in range(seg.z.shape[1] - 1):
