@@ -11,8 +11,10 @@ Exit codes: 0 success, 1 configuration/input error, 2 numerical failure,
 from __future__ import annotations
 
 import argparse
+import copy
 import hashlib
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -72,162 +74,157 @@ OUT_ENV_VAR = "PANNKIT_OUT"
 _ROLES = ("train", "test", "validation")
 
 
+# The config schema: each key's default. A key's type follows its default: a
+# float (finite; YAML numeric strings such as `8e-8` are read as floats), a
+# whole number >= 0, a string, or a non-empty list of one of these.
+_DEFAULTS = {
+    "model": {"kind": "dab"},
+    "theta": {
+        "names": ["L_k", "R_L", "n"],
+        "star": [63e-6, 1.8, 1.0],
+        "lower": [10e-6, 0.01, 0.8],
+        "upper": [200e-6, 3.0, 1.2],
+        "initial": [120e-6, 0.903, 1.12],
+    },
+    "timing": {"dt": 8e-8, "f_s": 50000.0},
+    "excitation": {
+        "v_in": 200.0,
+        "v_out": 200.0,
+        "phase_shift": 0.25,
+        "phase_range": [0.05, 0.45],
+    },
+    "dataset": {"n_train": 2, "n_test": 50, "n_validation": 50, "noise_sigma": 0.0},
+    "adam": {
+        "beta1": 0.9,
+        "beta2": 0.999,
+        "epsilon": 1e-8,
+        "lambda_decay": 0.99999999,
+        "max_epochs": 200,
+    },
+    "rates": {"scale_c": 1.0, "clamp": [1e-7, 10.0], "window_accrual": 0.95},
+    "strategies": list(STRATEGY_LABELS),
+    "mc": {"n_z_pairs": 100000, "n_theta_pairs": 10000, "n_theta_samples": 10000},
+    "settle": {"tol": 1e-9},
+    "seed": 0,
+}
+# Lower bounds beyond the type's own.
+_MINIMA = {
+    "dataset.n_train": 1,
+    "dataset.noise_sigma": 0.0,
+    "mc.n_z_pairs": 2,
+    "mc.n_theta_pairs": 2,
+    "settle.tol": 0.0,
+}
+# Keys without a default: the matrices of a generic model.
+_GENERIC_KEYS = {"a": [[0.0]], "b": [[0.0]]}
+_TYPE_NAMES = {float: "a finite number", int: "a whole number >= 0", str: "a string"}
+
+
 def default_config() -> dict:
     """The reference DAB configuration."""
-    return {
-        "model": {"kind": "dab"},
-        "theta": {
-            "names": ["L_k", "R_L", "n"],
-            "star": [63e-6, 1.8, 1.0],
-            "lower": [10e-6, 0.01, 0.8],
-            "upper": [200e-6, 3.0, 1.2],
-            "initial": [120e-6, 0.903, 1.12],
-        },
-        "timing": {"dt": 8e-8, "f_s": 50000.0},
-        "excitation": {
-            "v_in": 200.0,
-            "v_out": 200.0,
-            "phase_shift": 0.25,
-            "phase_range": [0.05, 0.45],
-        },
-        "dataset": {"n_train": 2, "n_test": 50, "n_validation": 50, "noise_sigma": 0.0},
-        "adam": {
-            "beta1": 0.9,
-            "beta2": 0.999,
-            "epsilon": 1e-8,
-            "lambda_decay": 0.99999999,
-            "max_epochs": 200,
-        },
-        "rates": {"scale_c": 1.0, "clamp": [1e-7, 10.0], "window_accrual": 0.95},
-        "strategies": list(STRATEGY_LABELS),
-        "mc": {"n_z_pairs": 100000, "n_theta_pairs": 10000, "n_theta_samples": 10000},
-        "settle": {"tol": 1e-9},
-        "seed": 0,
-    }
+    return copy.deepcopy(_DEFAULTS)
+
+
+def _parse(value, default, where: str):
+    """value checked against the type of default; floats are converted."""
+    if isinstance(default, list):
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{where} must be a non-empty list, got {value!r}")
+        return [_parse(v, default[0], f"{where}[{i}]") for i, v in enumerate(value)]
+    kind = type(default)
+    if kind is float and isinstance(value, (str, int)) and not isinstance(value, bool):
+        try:
+            value = float(value)
+        except (ValueError, OverflowError):
+            pass
+    ok = isinstance(value, kind) and not isinstance(value, bool)
+    if not ok or (kind is float and not math.isfinite(value)) or (kind is int and value < 0):
+        raise ConfigError(f"{where} must be {_TYPE_NAMES[kind]}, got {value!r}")
+    low = _MINIMA.get(where)
+    if low is not None and value < low:
+        raise ConfigError(f"{where} must be at least {low}, got {value!r}")
+    return value
 
 
 class ExperimentConfig:
-    """Validated view over the config dict; raises ConfigError on problems."""
+    """The parsed config: one attribute per section (`config.adam["beta1"]`,
+    `config.seed`), plus the library objects built from it: the parameter
+    vectors `star` and `initial` and the modulation `spec`. Raises ConfigError
+    on the first unknown or malformed key."""
 
     def __init__(self, raw: dict):
-        defaults = default_config()
-        unknown = set(raw) - set(defaults)
+        unknown = set(raw) - set(_DEFAULTS)
         if unknown:
-            raise ConfigError(f"unknown config sections: {sorted(unknown)}")
-        merged = {}
-        for key, dval in defaults.items():
-            if isinstance(dval, dict):
-                if not isinstance(raw.get(key, {}), dict):
-                    raise ConfigError(f"config section '{key}' must be a mapping")
-                sub = dict(dval)
-                allowed = set(dval) | ({"a", "b"} if key == "model" else set())
-                extra = set(raw.get(key, {})) - allowed
+            raise ConfigError(f"unknown config sections: {sorted(unknown, key=str)}")
+        self.raw = {}
+        for section, default in _DEFAULTS.items():
+            value = raw.get(section, default)
+            if isinstance(default, dict):
+                if not isinstance(value, dict):
+                    raise ConfigError(f"config section '{section}' must be a mapping")
+                schema = {**default, **_GENERIC_KEYS} if section == "model" else default
+                extra = set(value) - set(schema)
                 if extra:
-                    raise ConfigError(f"unknown keys in '{key}': {sorted(extra)}")
-                sub.update(raw.get(key, {}))
-                merged[key] = sub
+                    raise ConfigError(f"unknown keys in '{section}': {sorted(extra, key=str)}")
+                value = {
+                    key: _parse(v, schema[key], f"{section}.{key}")
+                    for key, v in {**default, **value}.items()
+                }
             else:
-                merged[key] = raw.get(key, dval)
-        self.raw = merged
+                value = _parse(value, default, section)
+            self.raw[section] = value
+            setattr(self, section, value)
 
-        self.model_kind = merged["model"].get("kind", "dab")
-        if self.model_kind not in ("dab", "generic"):
-            raise ConfigError(f"model.kind must be 'dab' or 'generic', got {self.model_kind!r}")
-        if self.model_kind == "generic":
-            if "a" not in merged["model"] or "b" not in merged["model"]:
+        kind = self.model["kind"]
+        if kind not in ("dab", "generic"):
+            raise ConfigError(f"model.kind must be 'dab' or 'generic', got {kind!r}")
+        if kind == "generic":
+            a, b = self.model.get("a"), self.model.get("b")
+            if a is None or b is None:
                 raise ConfigError("generic model needs 'a' and 'b' matrices")
-            self.generic_a = np.atleast_2d(np.asarray(merged["model"]["a"], dtype=float))
-            self.generic_b = np.atleast_2d(np.asarray(merged["model"]["b"], dtype=float))
+            if any(len(row) != len(a) for row in a) or len(b) != len(a) or (
+                len({len(row) for row in b}) != 1
+            ):
+                raise ConfigError(f"generic model needs a square 'a' and a 'b' with as many "
+                                  f"rows, got a={a}, b={b}")
 
-        th = merged["theta"]
-        self.names = tuple(th["names"])
-        self.theta_star = np.asarray(th["star"], dtype=float)
-        self.theta_lower = np.asarray(th["lower"], dtype=float)
-        self.theta_upper = np.asarray(th["upper"], dtype=float)
-        self.theta_initial = np.asarray(th["initial"], dtype=float)
-        sizes = {
-            len(self.names),
-            self.theta_star.size,
-            self.theta_lower.size,
-            self.theta_upper.size,
-            self.theta_initial.size,
-        }
-        if len(sizes) != 1:
-            raise ConfigError(f"theta fields disagree on parameter count: {sizes}")
+        th, exc = self.theta, self.excitation
+        try:
+            self.spec = ModulationSpec(
+                exc["v_in"], exc["v_out"], self.timing["f_s"], exc["phase_shift"],
+                self.timing["dt"],
+            )
+            self.star = ParamVector(th["star"], th["lower"], th["upper"], tuple(th["names"]))
+            self.initial = self.star.with_values(th["initial"])
+        except (InvalidSpec, OutOfBounds) as err:
+            raise ConfigError(f"invalid theta/timing/excitation: {err}") from err
+        if kind == "dab" and self.star.dim != dab_model().dim_theta:
+            raise ConfigError(f"theta has {self.star.dim} entries; the dab model has "
+                              f"{dab_model().dim_theta} parameters")
 
-        self.dt = float(merged["timing"]["dt"])
-        self.f_s = float(merged["timing"]["f_s"])
-        exc = merged["excitation"]
-        self.v_in = float(exc["v_in"])
-        self.v_out = float(exc["v_out"])
-        self.phase_shift = float(exc["phase_shift"])
-        self.phase_range = (float(exc["phase_range"][0]), float(exc["phase_range"][1]))
-
-        ds = merged["dataset"]
-        self.n_train = int(ds["n_train"])
-        self.n_test = int(ds["n_test"])
-        self.n_validation = int(ds["n_validation"])
-        self.noise_sigma = float(ds["noise_sigma"])
-        if min(self.n_train, self.n_test, self.n_validation) < 0 or self.n_train == 0:
-            raise ConfigError("dataset sizes must be nonnegative with at least one train segment")
-        if self.noise_sigma < 0:
-            raise ConfigError(f"noise_sigma must be nonnegative, got {self.noise_sigma}")
-
-        ad = merged["adam"]
-        self.adam_beta1 = float(ad["beta1"])
-        self.adam_beta2 = float(ad["beta2"])
-        self.adam_epsilon = float(ad["epsilon"])
-        self.adam_lambda = float(ad["lambda_decay"])
-        self.max_epochs = int(ad["max_epochs"])
-
-        rt = merged["rates"]
-        self.scale_c = float(rt["scale_c"])
-        self.rate_clamp = (float(rt["clamp"][0]), float(rt["clamp"][1]))
-        if not (0.0 < self.rate_clamp[0] <= self.rate_clamp[1]):
-            raise ConfigError(f"rates.clamp must satisfy 0 < low <= high, got {rt['clamp']}")
-        self.window_accrual = float(rt["window_accrual"])
-        if not (0.0 < self.window_accrual <= 1.0):
-            raise ConfigError(f"window_accrual must lie in (0, 1], got {self.window_accrual}")
-
-        self.strategies = list(merged["strategies"])
+        AdamConfig(np.ones(1), **self.adam)  # its own rules for the optimizer constants
+        rates = self.rates
+        if rates["scale_c"] <= 0.0:
+            raise ConfigError(f"rates.scale_c must be positive, got {rates['scale_c']}")
+        clamp = rates["clamp"]
+        if len(clamp) != 2 or not (0.0 < clamp[0] <= clamp[1]):
+            raise ConfigError(f"rates.clamp must be [low, high] with 0 < low <= high, "
+                              f"got {clamp}")
+        if not (0.0 < rates["window_accrual"] <= 1.0):
+            raise ConfigError(
+                f"rates.window_accrual must lie in (0, 1], got {rates['window_accrual']}"
+            )
         for s in self.strategies:
             if s not in STRATEGY_LABELS:
                 raise ConfigError(f"unknown strategy {s!r}; expected subset of {STRATEGY_LABELS}")
 
-        mc = merged["mc"]
-        self.n_z_pairs = int(mc["n_z_pairs"])
-        self.n_theta_pairs = int(mc["n_theta_pairs"])
-        self.n_theta_samples = int(mc["n_theta_samples"])
-
-        self.settle_tol = float(merged["settle"]["tol"])
-        self.seed = int(merged["seed"])
-
-        if self.model_kind == "dab":
-            # Probe spec: surfaces invalid dt/f_s combinations at load time.
-            self._probe_spec()
-
-    def _probe_spec(self) -> ModulationSpec:
-        try:
-            return ModulationSpec(
-                self.v_in, self.v_out, self.f_s, self.phase_shift, self.dt, 1
-            )
-        except InvalidSpec as exc:
-            raise ConfigError(f"invalid timing/excitation: {exc}") from exc
-
     def to_dict(self) -> dict:
         return json.loads(json.dumps(self.raw))
 
-    def theta_params(self, values: Optional[np.ndarray] = None) -> ParamVector:
-        if values is None:
-            values = self.theta_star
-        return ParamVector(
-            np.asarray(values, dtype=float), self.theta_lower, self.theta_upper, self.names
-        )
-
     def build_model(self) -> ContinuousModel:
-        if self.model_kind == "dab":
+        if self.model["kind"] == "dab":
             return dab_model()
-        a, b = self.generic_a, self.generic_b
+        a, b = np.array(self.model["a"]), np.array(self.model["b"])
         return ContinuousModel(
             dim_x=a.shape[0],
             dim_u=b.shape[1],
@@ -237,7 +234,7 @@ class ExperimentConfig:
         )
 
     def require_dab(self, what: str) -> None:
-        if self.model_kind != "dab":
+        if self.model["kind"] != "dab":
             raise ConfigError(f"{what} requires the dab model (generic models have no "
                               "parameter derivatives)")
 
@@ -290,36 +287,34 @@ def _save_datasets(datasets: Dict[str, WaveformDataset], out: Path, seed: int) -
     return written
 
 
-def synth_role_datasets(config: ExperimentConfig) -> Dict[str, WaveformDataset]:
+def synth_role(config: ExperimentConfig, role: str) -> WaveformDataset:
+    """The dataset of one role. Each role draws its phases and noise from
+    substreams of its own, so roles can be synthesized alone."""
     config.require_dab("dataset synthesis")
-    counts = {"train": config.n_train, "test": config.n_test, "validation": config.n_validation}
-    theta_true = config.theta_params()
-    out = {}
-    for role_index, role in enumerate(_ROLES):
-        n = counts[role]
-        if n == 0:
-            out[role] = WaveformDataset([], role=role)
-            continue
-        specs = draw_modulation_specs(
-            n,
-            config.seed,
-            role_index=role_index,
-            phase_range=config.phase_range,
-            v_in=config.v_in,
-            v_out=config.v_out,
-            f_s=config.f_s,
-            dt=config.dt,
-        )
-        out[role] = synthesize_dataset(
-            theta_true,
-            specs,
-            noise_sigma=config.noise_sigma,
-            seed=config.seed,
-            role=role,
-            index_base=role_index * 1_000_000,
-            settle_tol=config.settle_tol,
-        )
-    return out
+    n = config.dataset[f"n_{role}"]
+    if n == 0:
+        return WaveformDataset([], role=role)
+    role_index = _ROLES.index(role)
+    spec = config.spec
+    specs = draw_modulation_specs(
+        n,
+        config.seed,
+        role_index=role_index,
+        phase_range=tuple(config.excitation["phase_range"]),
+        v_in=spec.v_in,
+        v_out=spec.v_out,
+        f_s=spec.f_s,
+        dt=spec.dt,
+    )
+    return synthesize_dataset(
+        config.star,
+        specs,
+        noise_sigma=config.dataset["noise_sigma"],
+        seed=config.seed,
+        role=role,
+        index_base=role_index * 1_000_000,
+        settle_tol=config.settle["tol"],
+    )
 
 
 def cmd_defaults(args: argparse.Namespace) -> int:
@@ -337,7 +332,7 @@ def cmd_defaults(args: argparse.Namespace) -> int:
 def cmd_synth(args: argparse.Namespace) -> int:
     config = _apply_overrides(load_config(args.config), args)
     out = _resolve_out(args.out)
-    datasets = synth_role_datasets(config)
+    datasets = {role: synth_role(config, role) for role in _ROLES}
     _save_datasets(datasets, out, config.seed)
     for role in _ROLES:
         print(f"{role}: {len(datasets[role].segments)} segments, {datasets[role].n_steps} steps")
@@ -349,21 +344,23 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     config = _apply_overrides(load_config(args.config), args)
     out = _resolve_out(args.out)
     model = config.build_model()
-    if config.model_kind == "dab":
-        values = (
-            np.asarray([float(v) for v in args.theta.split(",")], dtype=float)
-            if args.theta
-            else config.theta_star
-        )
-        theta = config.theta_params(values)  # raises OutOfBounds for bad values
-        trans = transition_values(model, theta.values, config.dt)
+    spec = config.spec
+    if config.model["kind"] == "dab":
+        theta = config.star
+        if args.theta:
+            try:
+                values = [float(v) for v in args.theta.split(",")]
+            except ValueError:
+                raise ConfigError(f"--theta must be comma-separated numbers, got {args.theta!r}")
+            theta = theta.with_values(values)  # raises OutOfBounds for bad values
+        trans = transition_values(model, theta.values, spec.dt)
     else:
-        trans = transition_values(model, np.array([]), config.dt)
+        trans = transition_values(model, np.array([]), spec.dt)
     if model.dim_u == 2:
-        inputs = step_inputs_one_period(config._probe_spec())
+        inputs = step_inputs_one_period(spec)
     else:
-        inputs = np.zeros((model.dim_u, round(1.0 / (config.f_s * config.dt))))
-    settled = settle_to_steady_state(trans, inputs, tol=config.settle_tol)
+        inputs = np.zeros((model.dim_u, spec.steps_per_period))
+    settled = settle_to_steady_state(trans, inputs, tol=config.settle["tol"])
     traj = settled.trajectory
     out.mkdir(parents=True, exist_ok=True)
     _write_trajectory_csv(traj, out / "trajectory.csv")
@@ -403,11 +400,11 @@ def compute_lipschitz_reports(
     under the 2-norm (where pair ratios are provably dominated)."""
     config.require_dab("Lipschitz analysis")
     model = config.build_model()
-    dt = config.dt
-    theta_star = config.theta_star
+    dt = config.spec.dt
+    star, mc = config.star, config.mc
     z_bound = train_dataset.z_bounds()
-    trans_star = transition_values(model, theta_star, dt)
-    domain = DomainSpec(config.theta_lower, config.theta_upper, z_bound, theta_star)
+    trans_star = transition_values(model, star.values, dt)
+    domain = DomainSpec(star.lower, star.upper, z_bound, star.values)
 
     w = trans_star.w
 
@@ -418,7 +415,7 @@ def compute_lipschitz_reports(
         step_map,
         BoxSampler(-z_bound, z_bound),
         pairing="mixed",
-        n_samples=config.n_z_pairs,
+        n_samples=mc["n_z_pairs"],
         seed=config.seed,
         kind=NormKind.INFINITY,
         theoretical=theoretical_L1z(trans_star, NormKind.INFINITY),
@@ -426,22 +423,20 @@ def compute_lipschitz_reports(
         extras=dab_l1z_values(trans_star),
     )
 
-    params = config.theta_params()
-
     def loss_map(values: np.ndarray) -> np.ndarray:
-        return np.atleast_1d(loss(params.with_values(values), train_dataset, model, dt))
+        return np.atleast_1d(loss(star.with_values(values), train_dataset, model, dt))
 
     l1t_two = theoretical_L1theta(
-        domain, model, dt, NormKind.TWO, n_samples=config.n_theta_samples, seed=config.seed
+        domain, model, dt, NormKind.TWO, n_samples=mc["n_theta_samples"], seed=config.seed
     )
     l1t_inf = theoretical_L1theta(
-        domain, model, dt, NormKind.INFINITY, n_samples=config.n_theta_samples, seed=config.seed
+        domain, model, dt, NormKind.INFINITY, n_samples=mc["n_theta_samples"], seed=config.seed
     )
     l1theta_report = mc_estimate_lipschitz(
         loss_map,
-        BoxSampler(config.theta_lower, config.theta_upper),
+        BoxSampler(star.lower, star.upper),
         pairing="mixed",
-        n_samples=config.n_theta_pairs,
+        n_samples=mc["n_theta_pairs"],
         seed=config.seed,
         kind=NormKind.TWO,
         theoretical=l1t_two,
@@ -450,19 +445,19 @@ def compute_lipschitz_reports(
     )
 
     def grad_map(values: np.ndarray) -> np.ndarray:
-        return gradient(params.with_values(values), train_dataset, model, dt)
+        return gradient(star.with_values(values), train_dataset, model, dt)
 
     l2t_two = theoretical_L2theta(
-        domain, model, dt, NormKind.TWO, n_samples=config.n_theta_samples, seed=config.seed
+        domain, model, dt, NormKind.TWO, n_samples=mc["n_theta_samples"], seed=config.seed
     )
     l2t_star_inf = theoretical_L2theta(
         domain.collapsed(), model, dt, NormKind.INFINITY
     )
     l2theta_report = mc_estimate_lipschitz(
         grad_map,
-        BoxSampler(config.theta_lower, config.theta_upper),
+        BoxSampler(star.lower, star.upper),
         pairing="mixed",
-        n_samples=config.n_theta_pairs,
+        n_samples=mc["n_theta_pairs"],
         seed=config.seed,
         kind=NormKind.TWO,
         theoretical=l2t_two,
@@ -475,7 +470,7 @@ def compute_lipschitz_reports(
 def cmd_lipschitz(args: argparse.Namespace) -> int:
     config = _apply_overrides(load_config(args.config), args)
     out = _resolve_out(args.out)
-    train_dataset = synth_role_datasets(config)["train"]
+    train_dataset = synth_role(config, "train")
     reports = compute_lipschitz_reports(config, train_dataset)
     rep_dir = out / "lipschitz"
     rep_dir.mkdir(parents=True, exist_ok=True)
@@ -498,28 +493,29 @@ def run_strategy_sweep(
     summaries). Rates come live from the Lipschitz calculators."""
     config.require_dab("training")
     model = config.build_model()
-    dt = config.dt
+    dt = config.spec.dt
+    star = config.star
     z_bound = train_dataset.z_bounds()
-    domain = DomainSpec(config.theta_lower, config.theta_upper, z_bound, config.theta_star)
+    domain = DomainSpec(star.lower, star.upper, z_bound, star.values)
     reports = reports or {}
     if "L1theta" in reports and "ginf_theoretical" in reports["L1theta"].extras:
         ginf = reports["L1theta"].extras["ginf_theoretical"]
     else:
         ginf = theoretical_L1theta(
             domain, model, dt, NormKind.INFINITY,
-            n_samples=config.n_theta_samples, seed=config.seed,
+            n_samples=config.mc["n_theta_samples"], seed=config.seed,
         )
     if "L2theta" in reports and "l2theta_star_infinity" in reports["L2theta"].extras:
         l2theta_star = reports["L2theta"].extras["l2theta_star_infinity"]
     else:
         l2theta_star = theoretical_L2theta(domain.collapsed(), model, dt, NormKind.INFINITY)
 
-    ranges = config.theta_upper - config.theta_lower
     base_rates = lipschitz_aware_rates(
-        ginf, ranges, l2theta_star, scale_c=config.scale_c, clamp=config.rate_clamp
+        ginf, star.ranges, l2theta_star,
+        scale_c=config.rates["scale_c"], clamp=tuple(config.rates["clamp"]),
     )
-    theta0 = config.theta_params(config.theta_initial)
-    policy = "ground-truth" if config.noise_sigma == 0.0 else "best-seen"
+    theta0 = config.initial
+    policy = "ground-truth" if config.dataset["noise_sigma"] == 0.0 else "best-seen"
 
     summaries: Dict[str, dict] = {}
     comparison: dict = {
@@ -530,14 +526,7 @@ def run_strategy_sweep(
     }
     for label in config.strategies:
         rates = strategy_rates(base_rates, label)
-        adam = AdamConfig(
-            rates,
-            beta1=config.adam_beta1,
-            beta2=config.adam_beta2,
-            epsilon=config.adam_epsilon,
-            lambda_decay=config.adam_lambda,
-            max_epochs=config.max_epochs,
-        )
+        adam = AdamConfig(rates, **config.adam)
         trace = adam_train(train_dataset, model, dt, theta0, adam, label, seed=config.seed)
         summary: dict = {
             "strategy": label,
@@ -548,15 +537,15 @@ def run_strategy_sweep(
             "epochs_run": len(trace.records),
         }
         if trace.records:
-            diag = training_diagnostics(trace, config.theta_star)
+            diag = training_diagnostics(trace, star.values)
             ledger = regret_ledger(
                 trace,
                 train_dataset,
                 model,
                 dt,
                 theta_star_policy=policy,
-                theta_star=config.theta_star,
-                window_accrual=config.window_accrual,
+                theta_star=star.values,
+                window_accrual=config.rates["window_accrual"],
             )
             monitor = theorem2_monitor(trace)
             t_axis = np.arange(1, len(trace.records) + 1)
@@ -583,8 +572,8 @@ def run_strategy_sweep(
                     "final_loss": float(trace.records[-1].loss),
                     "final_rel_err_pct": [
                         float(v)
-                        for v in np.abs(trace.final_theta - config.theta_star)
-                        / np.abs(config.theta_star)
+                        for v in np.abs(trace.final_theta - star.values)
+                        / np.abs(star.values)
                         * 100.0
                     ],
                 }
@@ -607,7 +596,7 @@ def run_strategy_sweep(
 def cmd_train(args: argparse.Namespace) -> int:
     config = _apply_overrides(load_config(args.config), args)
     out = _resolve_out(args.out)
-    train_dataset = synth_role_datasets(config)["train"]
+    train_dataset = synth_role(config, "train")
     comparison, summaries = run_strategy_sweep(config, train_dataset)
     _persist_sweep(config, out, comparison, summaries)
     for label in config.strategies:
@@ -650,13 +639,13 @@ def _check_sweep(config: ExperimentConfig, comparison: dict, summaries: Dict[str
         if conv3 is None:
             failures.append("S3 did not converge to the 1% band")
         tol_pct = [1.0, 5.0, 1.0]
-        for name, err, tol in zip(config.names, rel, tol_pct):
+        for name, err, tol in zip(config.star.names, rel, tol_pct):
             if err > tol:
                 failures.append(f"S3 final {name} error {err:.3f}% exceeds {tol}%")
         if max(s3["overshoot_pct"]) > 5.0:
             failures.append(f"S3 overshoot {max(s3['overshoot_pct']):.2f}% exceeds 5%")
         final = np.asarray(summaries["S3"]["final_theta"])
-        if np.any(final < config.theta_lower) or np.any(final > config.theta_upper):
+        if not config.star.contains(final):
             failures.append("S3 final theta left the box")
         reg = summaries["S3"]["regret"]
         curve = np.asarray(reg["curve"])
@@ -699,7 +688,7 @@ def _check_sweep(config: ExperimentConfig, comparison: dict, summaries: Dict[str
 def cmd_reproduce(args: argparse.Namespace) -> int:
     config = _apply_overrides(load_config(args.config), args)
     out = _resolve_out(args.out)
-    datasets = synth_role_datasets(config)
+    datasets = {role: synth_role(config, role) for role in _ROLES}
     written = _save_datasets(datasets, out, config.seed)
     reports = compute_lipschitz_reports(config, datasets["train"])
     rep_dir = out / "lipschitz"

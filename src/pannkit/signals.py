@@ -158,9 +158,11 @@ def draw_modulation_specs(
     dt: float = DEFAULT_DT,
 ) -> List[ModulationSpec]:
     """n operating points with phase shifts drawn uniformly from phase_range."""
+    if len(phase_range) != 2 or not (-0.5 < phase_range[0] < phase_range[1] <= 0.5):
+        raise InvalidSpec(
+            f"phase_range must be (lo, hi) with -0.5 < lo < hi <= 0.5, got {phase_range}"
+        )
     lo, hi = phase_range
-    if not (-0.5 < lo < hi <= 0.5):
-        raise InvalidSpec(f"phase_range must satisfy -0.5 < lo < hi <= 0.5, got {phase_range}")
     rng = substream(seed, DOMAIN_PHASES, role_index)
     phases = rng.uniform(lo, hi, size=n)
     return [ModulationSpec(v_in, v_out, f_s, float(ph), dt, 1) for ph in phases]

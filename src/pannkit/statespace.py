@@ -14,13 +14,12 @@ can cross-check them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import (
-    MissingDerivatives,
     OutOfBounds,
     SingularDiscretization,
     StepTooLarge,
@@ -129,7 +128,6 @@ class DiscreteTransition:
     dw_dtheta: Optional[np.ndarray]
     d2w_dtheta2: Optional[np.ndarray]
     dt: float
-    theta_snapshot: np.ndarray = field(default_factory=lambda: np.array([]))
 
     def __post_init__(self):
         self.w = np.atleast_2d(np.asarray(self.w, dtype=float))
@@ -187,7 +185,7 @@ def _discretize_values(model: ContinuousModel, values: np.ndarray, dt: float) ->
             dw[:, :d_x, i] = dm_inv
             dw[:, d_x:, i] = dm_inv @ b * dt + m_inv @ db[:, :, i] * dt
 
-    return DiscreteTransition(w, dw, None, dt, values.copy())
+    return DiscreteTransition(w, dw, None, dt)
 
 
 def _dab_w(values: np.ndarray, dt: float) -> np.ndarray:
@@ -249,7 +247,6 @@ def dab_transition(theta: ParamVector, dt: float) -> DiscreteTransition:
         _dab_dw(theta.values, dt),
         _dab_d2w(theta.values, dt),
         dt,
-        theta.values.copy(),
     )
 
 
@@ -291,14 +288,10 @@ def dab_model() -> ContinuousModel:
     )
 
 
-def transition_for(model: ContinuousModel, theta: ParamVector, dt: float) -> DiscreteTransition:
-    """Transition with the richest derivative information the model offers."""
-    return transition_values(model, theta.values, dt)
-
-
 def transition_values(model: ContinuousModel, values: np.ndarray, dt: float) -> DiscreteTransition:
-    """Like transition_for, for raw parameter values (box handling is the
-    closed form's business; the generic route does not need a box)."""
+    """Transition with the richest derivative information the model offers,
+    for raw parameter values (box handling is the closed form's business; the
+    generic route does not need a box)."""
     if model.closed_form is not None:
         return model.closed_form(np.asarray(values, dtype=float), dt)
     return _discretize_values(model, values, dt)

@@ -13,7 +13,7 @@ diagnostics track the recorded estimates.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional
 
@@ -28,7 +28,7 @@ from .errors import (
     NonPositiveBound,
 )
 from .signals import WaveformDataset
-from .statespace import ContinuousModel, ParamVector, transition_values
+from .statespace import ContinuousModel, DiscreteTransition, ParamVector, transition_values
 
 _FLOAT_FMT = "{:.17g}"
 
@@ -51,8 +51,10 @@ class AdamConfig:
         self.alpha = np.atleast_1d(np.asarray(self.alpha, dtype=float))
         if np.any(self.alpha <= 0) or not np.all(np.isfinite(self.alpha)):
             raise ConfigError(f"learning rates must be positive finite, got {self.alpha}")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ConfigError(f"beta1/beta2 must lie in [0, 1): {self.beta1}, {self.beta2}")
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
+            raise ConfigError(
+                f"beta1 must lie in [0, 1) and beta2 in (0, 1): {self.beta1}, {self.beta2}"
+            )
         if self.epsilon <= 0:
             raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
         if not (0.0 < self.lambda_decay <= 1.0):
@@ -124,10 +126,21 @@ def _residuals(values: np.ndarray, dataset: WaveformDataset, model: ContinuousMo
     return trans, z, (trans.w @ z - x)
 
 
+# The residual -> (loss, gradient) kernel shared by loss, gradient and adam_train.
+
+def _mean_half_square(r: np.ndarray) -> float:
+    return 0.5 * float(np.sum(r * r)) / r.shape[1]
+
+
+def _mean_gradient(trans: DiscreteTransition, z: np.ndarray, r: np.ndarray) -> np.ndarray:
+    if trans.dw_dtheta is None:
+        raise MissingDerivatives("model provides no dW/dtheta tensor")
+    return np.einsum("xk,xzi,zk->i", r, trans.dw_dtheta, z) / r.shape[1]
+
+
 def loss(theta: ParamVector, dataset: WaveformDataset, model: ContinuousModel, dt: float) -> float:
     """Mean over steps of 0.5 ||x_hat - x*||^2 (teacher-forced)."""
-    _, _, r = _residuals(theta.values, dataset, model, dt)
-    return 0.5 * float(np.sum(r * r)) / r.shape[1]
+    return _mean_half_square(_residuals(theta.values, dataset, model, dt)[2])
 
 
 def rmse(theta: ParamVector, dataset: WaveformDataset, model: ContinuousModel, dt: float) -> float:
@@ -138,10 +151,7 @@ def gradient(
     theta: ParamVector, dataset: WaveformDataset, model: ContinuousModel, dt: float
 ) -> np.ndarray:
     """Mean over steps of (x_hat - x*)^T (dW/dtheta_i z) per component."""
-    trans, z, r = _residuals(theta.values, dataset, model, dt)
-    if trans.dw_dtheta is None:
-        raise MissingDerivatives("model provides no dW/dtheta tensor")
-    return np.einsum("xk,xzi,zk->i", r, trans.dw_dtheta, z) / r.shape[1]
+    return _mean_gradient(*_residuals(theta.values, dataset, model, dt))
 
 
 def hessian(
@@ -208,9 +218,6 @@ def adam_train(
         raise ConfigError(
             f"alpha has {config.alpha.size} entries for {theta0.dim} parameters"
         )
-    z, x = dataset.stacked()
-    if z.shape[1] == 0:
-        raise EmptyDataset("dataset has no steps")
     th = theta0.values.copy()
     m = np.zeros(theta0.dim)
     v = np.zeros(theta0.dim)
@@ -218,14 +225,10 @@ def adam_train(
     records: List[EpochRecord] = []
     failed = False
     reason = ""
-    k = z.shape[1]
     for t in range(1, config.max_epochs + 1):
-        trans = transition_values(model, th, dt)
-        if trans.dw_dtheta is None:
-            raise MissingDerivatives("training requires dW/dtheta")
-        r = trans.w @ z - x
-        f = 0.5 * float(np.sum(r * r)) / k
-        g = np.einsum("xk,xzi,zk->i", r, trans.dw_dtheta, z) / k
+        trans, z, r = _residuals(th, dataset, model, dt)
+        f = _mean_half_square(r)
+        g = _mean_gradient(trans, z, r)
         if not (np.isfinite(f) and np.all(np.isfinite(g))):
             failed = True
             reason = f"non-finite loss/gradient at epoch {t}"

@@ -7,9 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 import pannkit as pk
-from pannkit.cli import OUT_ENV_VAR, default_config, load_config, main
+from pannkit.cli import OUT_ENV_VAR, ExperimentConfig, default_config, load_config, main
 
 
 @pytest.fixture(autouse=True)
@@ -65,8 +66,8 @@ def test_config_file_overrides_take_effect(tmp_path):
     path = write_config(tmp_path, {"seed": 7, "adam": {"max_epochs": 17}})
     config = load_config(path)
     assert config.seed == 7
-    assert config.max_epochs == 17
-    assert config.n_train == 2, "untouched sections keep their defaults"
+    assert config.adam["max_epochs"] == 17
+    assert config.dataset["n_train"] == 2, "untouched sections keep their defaults"
 
 
 def test_config_rejects_unknown_sections(tmp_path):
@@ -76,16 +77,94 @@ def test_config_rejects_unknown_sections(tmp_path):
         load_config(str(path))
 
 
+_SHORT_THETA = {
+    "names": ["L_k", "R_L"], "star": [63e-6, 1.8], "lower": [10e-6, 0.01],
+    "upper": [200e-6, 3.0], "initial": [120e-6, 0.903],
+}
+_MALFORMED = {
+    "scalar-section": {"mc": 5},
+    "reversed-clamp": {"rates": {"clamp": [10.0, 1e-7]}},
+    "removed-settle-key": {"settle": {"max_cycles": 200}},
+    "word-seed": {"seed": "abc"},
+    "bool-seed": {"seed": True},
+    "negative-seed": {"seed": -1},
+    "scalar-strategies": {"strategies": 5},
+    "no-strategies": {"strategies": []},
+    "word-dt": {"timing": {"dt": "fast"}},
+    "word-tol": {"settle": {"tol": "abc"}},
+    "negative-tol": {"settle": {"tol": -1}},
+    "two-entry-theta": {"theta": _SHORT_THETA},
+    "scalar-names": {"theta": {"names": 5}},
+    "string-names": {"theta": {"names": "abc"}},
+    "initial-outside-box": {"theta": {"initial": [1e-3, 0.903, 1.12]}},
+    "one-entry-phase-range": {"excitation": {"phase_range": [0.1]}},
+    "scalar-phase-range": {"excitation": {"phase_range": 0.1}},
+    "one-entry-clamp": {"rates": {"clamp": [1e-7]}},
+    "negative-scale-c": {"rates": {"scale_c": -1}},
+    "fractional-count": {"dataset": {"n_train": 2.5}},
+    "infinite-noise": {"dataset": {"noise_sigma": float("inf")}},
+    "one-mc-pair": {"mc": {"n_z_pairs": 1}},
+    "generic-a-not-square": {
+        "model": {"kind": "generic", "a": [[0.1, 0.2]], "b": [[1.0, -1.0]]},
+    },
+}
+
+
 @pytest.mark.parametrize(
-    "overrides",
-    [{"mc": 5}, {"rates": {"clamp": [10.0, 1e-7]}}, {"settle": {"max_cycles": 200}}],
-    ids=["scalar-section", "reversed-clamp", "removed-settle-key"],
+    "overrides,args",
+    [*((o, []) for o in _MALFORMED.values()), ({}, ["--samples", "1"])],
+    ids=[*_MALFORMED, "one-sample"],
 )
-def test_malformed_config_is_a_config_error(tmp_path, capsys, overrides):
+def test_malformed_config_is_a_config_error(tmp_path, capsys, overrides, args):
     path = write_config(tmp_path, overrides)
-    assert main(["synth", "--config", path, "--out", "o"]) == 1
+    assert main(["synth", "--config", path, "--out", "o", *args]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err, err
+
+
+def test_yaml_numeric_string_loads_as_float(tmp_path):
+    path = tmp_path / "config.yaml"
+    path.write_text("timing:\n  dt: 8e-8\n")
+    assert yaml.safe_load(path.read_text())["timing"]["dt"] == "8e-8", "PyYAML reads a string"
+    config = load_config(str(path))
+    assert config.timing["dt"] == 8e-8 and config.spec.dt == 8e-8
+
+
+_CONFIG_PATHS = [(section,) for section in default_config()] + [
+    (section, key)
+    for section, sub in default_config().items()
+    if isinstance(sub, dict)
+    for key in sub
+]
+_YAML_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=6)
+    | st.sampled_from(["8e-8", "1e3", "nan", "-inf", "0x10"]),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=4) | st.integers(), children, max_size=3),
+    max_leaves=4,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_CONFIG_PATHS), _YAML_VALUES), min_size=1, max_size=3))
+def test_fuzzed_config_builds_or_is_a_config_error(mutations):
+    raw = default_config()
+    for path, value in mutations:
+        section = raw
+        for key in path[:-1]:
+            section = section[key]
+        if isinstance(section, dict):
+            section[path[-1]] = value
+    try:
+        config = ExperimentConfig(raw)
+    except pk.ConfigError:
+        return
+    echoed = config.to_dict()
+    assert ExperimentConfig(echoed).to_dict() == echoed, "parsed values parse to themselves"
 
 
 def test_config_rejects_non_integral_steps_per_period(tmp_path, capsys):
@@ -134,6 +213,9 @@ def test_simulate_emits_one_settled_period(capsys):
 def test_simulate_rejects_out_of_box_theta(capsys):
     assert main(["simulate", "--theta", "1e-3,1.8,1.0", "--out", "sim"]) == 1
     assert "error:" in capsys.readouterr().err
+    assert main(["simulate", "--theta", "abc", "--out", "sim"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err, err
 
 
 def test_simulate_with_custom_theta():
