@@ -50,12 +50,7 @@ from .signals import (
     step_inputs_one_period,
     synthesize_dataset,
 )
-from .statespace import (
-    ContinuousModel,
-    ParamVector,
-    dab_model,
-    transition_values,
-)
+from .statespace import DAB_NAMES, ParamVector, dab_model, transition_values
 from .training import (
     AdamConfig,
     adam_train,
@@ -78,9 +73,7 @@ _ROLES = ("train", "test", "validation")
 # float (finite; YAML numeric strings such as `8e-8` are read as floats), a
 # whole number >= 0, a string, or a non-empty list of one of these.
 _DEFAULTS = {
-    "model": {"kind": "dab"},
     "theta": {
-        "names": ["L_k", "R_L", "n"],
         "star": [63e-6, 1.8, 1.0],
         "lower": [10e-6, 0.01, 0.8],
         "upper": [200e-6, 3.0, 1.2],
@@ -115,8 +108,6 @@ _MINIMA = {
     "mc.n_theta_pairs": 2,
     "settle.tol": 0.0,
 }
-# Keys without a default: the matrices of a generic model.
-_GENERIC_KEYS = {"a": [[0.0]], "b": [[0.0]]}
 _TYPE_NAMES = {float: "a finite number", int: "a whole number >= 0", str: "a string"}
 
 
@@ -149,8 +140,9 @@ def _parse(value, default, where: str):
 class ExperimentConfig:
     """The parsed config: one attribute per section (`config.adam["beta1"]`,
     `config.seed`), plus the library objects built from it: the parameter
-    vectors `star` and `initial` and the modulation `spec`. Raises ConfigError
-    on the first unknown or malformed key."""
+    vectors `star` and `initial`, the DAB `model` over the `star` box and the
+    modulation `spec`. Raises ConfigError on the first unknown or malformed
+    key."""
 
     def __init__(self, raw: dict):
         unknown = set(raw) - set(_DEFAULTS)
@@ -162,12 +154,11 @@ class ExperimentConfig:
             if isinstance(default, dict):
                 if not isinstance(value, dict):
                     raise ConfigError(f"config section '{section}' must be a mapping")
-                schema = {**default, **_GENERIC_KEYS} if section == "model" else default
-                extra = set(value) - set(schema)
+                extra = set(value) - set(default)
                 if extra:
                     raise ConfigError(f"unknown keys in '{section}': {sorted(extra, key=str)}")
                 value = {
-                    key: _parse(v, schema[key], f"{section}.{key}")
+                    key: _parse(v, default[key], f"{section}.{key}")
                     for key, v in {**default, **value}.items()
                 }
             else:
@@ -175,32 +166,26 @@ class ExperimentConfig:
             self.raw[section] = value
             setattr(self, section, value)
 
-        kind = self.model["kind"]
-        if kind not in ("dab", "generic"):
-            raise ConfigError(f"model.kind must be 'dab' or 'generic', got {kind!r}")
-        if kind == "generic":
-            a, b = self.model.get("a"), self.model.get("b")
-            if a is None or b is None:
-                raise ConfigError("generic model needs 'a' and 'b' matrices")
-            if any(len(row) != len(a) for row in a) or len(b) != len(a) or (
-                len({len(row) for row in b}) != 1
-            ):
-                raise ConfigError(f"generic model needs a square 'a' and a 'b' with as many "
-                                  f"rows, got a={a}, b={b}")
-
         th, exc = self.theta, self.excitation
+        if len(th["star"]) != len(DAB_NAMES):
+            raise ConfigError(f"theta.star has {len(th['star'])} entries; the dab model has "
+                              f"{len(DAB_NAMES)} parameters {DAB_NAMES}")
         try:
             self.spec = ModulationSpec(
                 exc["v_in"], exc["v_out"], self.timing["f_s"], exc["phase_shift"],
                 self.timing["dt"],
             )
-            self.star = ParamVector(th["star"], th["lower"], th["upper"], tuple(th["names"]))
+            self.star = ParamVector(th["star"], th["lower"], th["upper"], DAB_NAMES)
             self.initial = self.star.with_values(th["initial"])
         except (InvalidSpec, OutOfBounds) as err:
             raise ConfigError(f"invalid theta/timing/excitation: {err}") from err
-        if kind == "dab" and self.star.dim != dab_model().dim_theta:
-            raise ConfigError(f"theta has {self.star.dim} entries; the dab model has "
-                              f"{dab_model().dim_theta} parameters")
+        # L_k + R_L*dt, the closed form's denominator, grows in both: its
+        # minimum over the box is at the lower corner.
+        den = th["lower"][0] + th["lower"][1] * self.spec.dt
+        if den <= 0.0:
+            raise ConfigError(f"theta.lower must keep L_k + R_L*dt positive over the box, "
+                              f"got {den:.6g}")
+        self.model = dab_model(self.star)
 
         AdamConfig(np.ones(1), **self.adam)  # its own rules for the optimizer constants
         rates = self.rates
@@ -217,26 +202,11 @@ class ExperimentConfig:
         for s in self.strategies:
             if s not in STRATEGY_LABELS:
                 raise ConfigError(f"unknown strategy {s!r}; expected subset of {STRATEGY_LABELS}")
+        if len(set(self.strategies)) != len(self.strategies):
+            raise ConfigError(f"strategies must not repeat a label, got {self.strategies}")
 
     def to_dict(self) -> dict:
         return json.loads(json.dumps(self.raw))
-
-    def build_model(self) -> ContinuousModel:
-        if self.model["kind"] == "dab":
-            return dab_model()
-        a, b = np.array(self.model["a"]), np.array(self.model["b"])
-        return ContinuousModel(
-            dim_x=a.shape[0],
-            dim_u=b.shape[1],
-            dim_theta=0,
-            a_of=lambda _v, _a=a: _a,
-            b_of=lambda _v, _b=b: _b,
-        )
-
-    def require_dab(self, what: str) -> None:
-        if self.model["kind"] != "dab":
-            raise ConfigError(f"{what} requires the dab model (generic models have no "
-                              "parameter derivatives)")
 
 
 def load_config(path: Optional[str]) -> ExperimentConfig:
@@ -290,7 +260,6 @@ def _save_datasets(datasets: Dict[str, WaveformDataset], out: Path, seed: int) -
 def synth_role(config: ExperimentConfig, role: str) -> WaveformDataset:
     """The dataset of one role. Each role draws its phases and noise from
     substreams of its own, so roles can be synthesized alone."""
-    config.require_dab("dataset synthesis")
     n = config.dataset[f"n_{role}"]
     if n == 0:
         return WaveformDataset([], role=role)
@@ -343,24 +312,16 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = _apply_overrides(load_config(args.config), args)
     out = _resolve_out(args.out)
-    model = config.build_model()
     spec = config.spec
-    if config.model["kind"] == "dab":
-        theta = config.star
-        if args.theta:
-            try:
-                values = [float(v) for v in args.theta.split(",")]
-            except ValueError:
-                raise ConfigError(f"--theta must be comma-separated numbers, got {args.theta!r}")
-            theta = theta.with_values(values)  # raises OutOfBounds for bad values
-        trans = transition_values(model, theta.values, spec.dt)
-    else:
-        trans = transition_values(model, np.array([]), spec.dt)
-    if model.dim_u == 2:
-        inputs = step_inputs_one_period(spec)
-    else:
-        inputs = np.zeros((model.dim_u, spec.steps_per_period))
-    settled = settle_to_steady_state(trans, inputs, tol=config.settle["tol"])
+    theta = config.star
+    if args.theta:
+        try:
+            values = [float(v) for v in args.theta.split(",")]
+        except ValueError:
+            raise ConfigError(f"--theta must be comma-separated numbers, got {args.theta!r}")
+        theta = theta.with_values(values)  # raises OutOfBounds for bad values
+    trans = transition_values(config.model, theta.values, spec.dt)
+    settled = settle_to_steady_state(trans, step_inputs_one_period(spec), tol=config.settle["tol"])
     traj = settled.trajectory
     out.mkdir(parents=True, exist_ok=True)
     _write_trajectory_csv(traj, out / "trajectory.csv")
@@ -375,13 +336,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def _write_trajectory_csv(traj, path: Path) -> None:
     import csv as _csv
 
-    d_x = traj.states.shape[0]
-    d_u = traj.inputs.shape[0]
-    state_cols = ["i_L"] if d_x == 1 else [f"x{i}" for i in range(d_x)]
-    input_cols = ["v_p", "v_s"] if d_u == 2 else [f"u{i}" for i in range(d_u)]
     with open(path, "w", newline="") as fh:
         writer = _csv.writer(fh)
-        writer.writerow(["time", *state_cols, *input_cols])
+        writer.writerow(["time", "i_L", "v_p", "v_s"])
         for k in range(traj.inputs.shape[1]):
             writer.writerow(
                 [
@@ -398,8 +355,7 @@ def compute_lipschitz_reports(
     """The three bound-vs-MC reports. L1z under the infinity norm (where the
     theoretical value is exactly attainable); the loss and gradient constants
     under the 2-norm (where pair ratios are provably dominated)."""
-    config.require_dab("Lipschitz analysis")
-    model = config.build_model()
+    model = config.model
     dt = config.spec.dt
     star, mc = config.star, config.mc
     z_bound = train_dataset.z_bounds()
@@ -491,8 +447,7 @@ def run_strategy_sweep(
 ) -> Tuple[dict, Dict[str, dict]]:
     """Train every configured strategy; returns (comparison, per-strategy
     summaries). Rates come live from the Lipschitz calculators."""
-    config.require_dab("training")
-    model = config.build_model()
+    model = config.model
     dt = config.spec.dt
     star = config.star
     z_bound = train_dataset.z_bounds()

@@ -250,8 +250,10 @@ def dab_transition(theta: ParamVector, dt: float) -> DiscreteTransition:
     )
 
 
-def dab_model() -> ContinuousModel:
-    """The scalar DAB model di/dt = (-R_L*i + v_p - n*v_s) / L_k."""
+def dab_model(box: Optional[ParamVector] = None) -> ContinuousModel:
+    """The scalar DAB model di/dt = (-R_L*i + v_p - n*v_s) / L_k. Its closed
+    form checks each theta against `box` (default: the reference box)."""
+    box = dab_params() if box is None else box
 
     def a_of(v: np.ndarray) -> np.ndarray:
         lk, rl, _ = v
@@ -284,7 +286,7 @@ def dab_model() -> ContinuousModel:
         b_of=b_of,
         da_dtheta=da,
         db_dtheta=db,
-        closed_form=lambda values, dt: dab_transition(dab_params(values), dt),
+        closed_form=lambda values, dt: dab_transition(box.with_values(values), dt),
     )
 
 

@@ -71,11 +71,6 @@ class AdamConfig:
     def gamma(self) -> float:
         return self.beta1**2 / np.sqrt(self.beta2)
 
-    def with_alpha(self, alpha: np.ndarray) -> "AdamConfig":
-        return AdamConfig(
-            alpha, self.beta1, self.beta2, self.epsilon, self.lambda_decay, self.max_epochs
-        )
-
 
 @dataclass
 class EpochRecord:
@@ -141,10 +136,6 @@ def _mean_gradient(trans: DiscreteTransition, z: np.ndarray, r: np.ndarray) -> n
 def loss(theta: ParamVector, dataset: WaveformDataset, model: ContinuousModel, dt: float) -> float:
     """Mean over steps of 0.5 ||x_hat - x*||^2 (teacher-forced)."""
     return _mean_half_square(_residuals(theta.values, dataset, model, dt)[2])
-
-
-def rmse(theta: ParamVector, dataset: WaveformDataset, model: ContinuousModel, dt: float) -> float:
-    return float(np.sqrt(2.0 * loss(theta, dataset, model, dt)))
 
 
 def gradient(

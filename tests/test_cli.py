@@ -24,7 +24,7 @@ def write_config(tmp_path, overrides):
     raw = default_config()
     for section, sub in overrides.items():
         if isinstance(sub, dict):
-            raw[section].update(sub)
+            raw.setdefault(section, {}).update(sub)
         else:
             raw[section] = sub
     path = tmp_path / "config.yaml"
@@ -78,8 +78,8 @@ def test_config_rejects_unknown_sections(tmp_path):
 
 
 _SHORT_THETA = {
-    "names": ["L_k", "R_L"], "star": [63e-6, 1.8], "lower": [10e-6, 0.01],
-    "upper": [200e-6, 3.0], "initial": [120e-6, 0.903],
+    "star": [63e-6, 1.8], "lower": [10e-6, 0.01], "upper": [200e-6, 3.0],
+    "initial": [120e-6, 0.903],
 }
 _MALFORMED = {
     "scalar-section": {"mc": 5},
@@ -96,6 +96,10 @@ _MALFORMED = {
     "two-entry-theta": {"theta": _SHORT_THETA},
     "scalar-names": {"theta": {"names": 5}},
     "string-names": {"theta": {"names": "abc"}},
+    "removed-names-key": {"theta": {"names": ["L_k", "R_L", "n"]}},
+    "removed-model-section": {"model": {"kind": "dab"}},
+    "box-denominator-not-positive": {"theta": {"lower": [1e-9, -1.0, 0.8]}},
+    "repeated-strategies": {"strategies": ["S3", "S3"]},
     "initial-outside-box": {"theta": {"initial": [1e-3, 0.903, 1.12]}},
     "one-entry-phase-range": {"excitation": {"phase_range": [0.1]}},
     "scalar-phase-range": {"excitation": {"phase_range": 0.1}},
@@ -104,16 +108,17 @@ _MALFORMED = {
     "fractional-count": {"dataset": {"n_train": 2.5}},
     "infinite-noise": {"dataset": {"noise_sigma": float("inf")}},
     "one-mc-pair": {"mc": {"n_z_pairs": 1}},
-    "generic-a-not-square": {
-        "model": {"kind": "generic", "a": [[0.1, 0.2]], "b": [[1.0, -1.0]]},
-    },
 }
 
 
 @pytest.mark.parametrize(
     "overrides,args",
-    [*((o, []) for o in _MALFORMED.values()), ({}, ["--samples", "1"])],
-    ids=[*_MALFORMED, "one-sample"],
+    [
+        *((o, []) for o in _MALFORMED.values()),
+        ({}, ["--samples", "1"]),
+        ({}, ["--strategies", "S3,S3"]),
+    ],
+    ids=[*_MALFORMED, "one-sample", "repeated-strategies-flag"],
 )
 def test_malformed_config_is_a_config_error(tmp_path, capsys, overrides, args):
     path = write_config(tmp_path, overrides)
@@ -223,34 +228,28 @@ def test_simulate_with_custom_theta():
     assert Path("sim/trajectory.csv").exists()
 
 
-def test_simulate_generic_unstable_model_fails_numerically(tmp_path, capsys):
-    path = write_config(
-        tmp_path,
-        {"model": {"kind": "generic", "a": [[1e6]], "b": [[1.0, -1.0]]}},
-    )
-    with np.errstate(over="ignore"):
-        code = main(["simulate", "--config", path, "--out", "sim"])
-    assert code == 2, "an exploding rollout is a numerical failure, not a config error"
+def test_simulate_lossless_theta_fails_numerically(tmp_path, capsys):
+    # R_L = 0 gives W_x = 1: the recurrence has no periodic steady state.
+    path = write_config(tmp_path, {"theta": {"lower": [1e-5, 0.0, 0.8]}})
+    code = main(["simulate", "--config", path, "--theta", "63e-6,0,1", "--out", "sim"])
+    assert code == 2, "a box that admits the theta makes it a numerical failure"
     assert "numerical failure:" in capsys.readouterr().err
 
 
-def test_simulate_generic_stable_model(tmp_path):
-    path = write_config(
+def test_configured_box_wider_than_reference_box(tmp_path):
+    path = small_config(
         tmp_path,
-        {"model": {"kind": "generic", "a": [[-1e4]], "b": [[1e3, -1e3]]}},
+        theta={"lower": [5e-6, 0.01, 0.8]},
+        adam={"max_epochs": 20},
+        mc={"n_z_pairs": 200, "n_theta_pairs": 200, "n_theta_samples": 200},
     )
-    assert main(["simulate", "--config", path, "--out", "sim"]) == 0
-    lines = Path("sim/trajectory.csv").read_text().strip().split("\n")
-    assert lines[0] == "time,i_L,v_p,v_s"
-
-
-def test_generic_model_cannot_train(tmp_path, capsys):
-    path = write_config(
-        tmp_path,
-        {"model": {"kind": "generic", "a": [[-1e4]], "b": [[1e3, -1e3]]}},
-    )
-    assert main(["train", "--config", path, "--out", "t"]) == 1
-    assert "generic" in capsys.readouterr().err
+    assert main(["lipschitz", "--config", path, "--out", "lip"]) == 0
+    for name in ["L1z", "L1theta", "L2theta"]:
+        rep = json.loads(Path(f"lip/lipschitz/{name}.json").read_text())
+        assert rep["empirical_max"] <= rep["theoretical"] * (1 + 1e-9), name
+    assert main(["train", "--config", path, "--out", "t"]) == 0
+    summary = json.loads(Path("t/train/S3/summary.json").read_text())
+    assert summary["epochs_run"] == 20 and not summary["diverged"]
 
 
 def test_lipschitz_reports(tmp_path):

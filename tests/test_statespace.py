@@ -126,6 +126,17 @@ def test_dab_transition_rejects_out_of_box_theta(star):
         pk.dab_transition(bad, DT)
 
 
+def test_dab_model_checks_theta_against_its_box(star):
+    wide = pk.ParamVector(star.values, [5e-6, 0.01, 0.8], star.upper, star.names)
+    values = np.array([5e-6, 1.8, 1.0])
+    trans = pk.transition_values(pk.dab_model(wide), values, DT)
+    assert np.array_equal(trans.w, pk.dab_transition(wide.with_values(values), DT).w)
+    with pytest.raises(OutOfBounds):
+        pk.transition_values(pk.dab_model(), values, DT)
+    with pytest.raises(OutOfBounds):
+        pk.transition_values(pk.dab_model(wide), [4e-6, 1.8, 1.0], DT)
+
+
 def test_dw_matches_numeric_derivative(star, ranges):
     rng = np.random.default_rng(555)
     for _ in range(20):
