@@ -9,177 +9,40 @@ Layers, bottom up:
 - lipschitz: theoretical constants, MC estimators, in-training monitor
 - training: loss/gradient/hessian, bound-derived rates, Adam, regret
 - cli: experiment runner (`pannkit` console script)
+
+The root holds the study's API: build the model, synthesize or load data,
+certify the three constants, derive rates and train. Every other name is
+imported from its defining module.
 """
 
-from .errors import (
-    BoundViolation,
-    ConfigError,
-    DegenerateDomain,
-    DivergentBound,
-    EmptyDataset,
-    EmptyTrace,
-    InvalidSpec,
-    MissingDerivatives,
-    NonFinite,
-    NonPositiveBound,
-    OutOfBounds,
-    PannkitError,
-    ShapeMismatch,
-    SingularDiscretization,
-    StepTooLarge,
+from .errors import PannkitError
+from .lipschitz import (
+    BoxSampler,
+    DomainSpec,
+    mc_estimate_lipschitz,
+    theoretical_L1theta,
+    theoretical_L1z,
+    theoretical_L2theta,
 )
-from .norms import NormKind, dw_norm, d2w_norm, mat_norm, max_entry_norm, vec_norm
+from .norms import NormKind
+from .signals import (
+    ModulationSpec,
+    draw_modulation_specs,
+    load_dataset,
+    save_dataset,
+    synthesize_dataset,
+)
 from .statespace import (
+    DEFAULT_DT,
+    DEFAULT_FS,
     ContinuousModel,
-    DiscreteTransition,
     ParamVector,
     dab_model,
     dab_params,
     dab_transition,
-    discretize,
     neumann_bound,
     transition_values,
-    DAB_LOWER,
-    DAB_NAMES,
-    DAB_THETA_STAR,
-    DAB_UPPER,
-    DEFAULT_DT,
-    DEFAULT_FS,
 )
-from .pann import (
-    SettleResult,
-    StepInput,
-    Trajectory,
-    rollout_free,
-    rollout_teacher_forced,
-    settle_to_steady_state,
-    step,
-)
-from .signals import (
-    ModulationSpec,
-    Segment,
-    WaveformDataset,
-    dab_pwm,
-    draw_modulation_specs,
-    load_dataset,
-    save_dataset,
-    step_inputs_one_period,
-    synthesize_dataset,
-)
-from .lipschitz import (
-    BoxSampler,
-    DomainSpec,
-    LipschitzReport,
-    MonitorReport,
-    dab_l1z_values,
-    mc_estimate_lipschitz,
-    sample_thetas,
-    theoretical_L1theta,
-    theoretical_L1z,
-    theoretical_L2theta,
-    theorem2_monitor,
-)
-from .training import (
-    AdamConfig,
-    Diagnostics,
-    EpochRecord,
-    RegretLedger,
-    TrainingTrace,
-    adam_train,
-    gradient,
-    hessian,
-    lipschitz_aware_rates,
-    loss,
-    regret_bound,
-    regret_ledger,
-    strategy_rates,
-    training_diagnostics,
-    write_trace_csv,
-    STRATEGY_LABELS,
-    STRATEGY_MULTIPLIERS,
-)
+from .training import AdamConfig, adam_train, gradient, lipschitz_aware_rates, loss
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AdamConfig",
-    "BoundViolation",
-    "BoxSampler",
-    "ConfigError",
-    "ContinuousModel",
-    "DAB_LOWER",
-    "DAB_NAMES",
-    "DAB_THETA_STAR",
-    "DAB_UPPER",
-    "DEFAULT_DT",
-    "DEFAULT_FS",
-    "DegenerateDomain",
-    "Diagnostics",
-    "DiscreteTransition",
-    "DivergentBound",
-    "DomainSpec",
-    "EmptyDataset",
-    "EmptyTrace",
-    "EpochRecord",
-    "InvalidSpec",
-    "LipschitzReport",
-    "MissingDerivatives",
-    "ModulationSpec",
-    "MonitorReport",
-    "NonFinite",
-    "NonPositiveBound",
-    "NormKind",
-    "OutOfBounds",
-    "PannkitError",
-    "ParamVector",
-    "RegretLedger",
-    "Segment",
-    "SettleResult",
-    "ShapeMismatch",
-    "SingularDiscretization",
-    "StepInput",
-    "StepTooLarge",
-    "STRATEGY_LABELS",
-    "STRATEGY_MULTIPLIERS",
-    "Trajectory",
-    "TrainingTrace",
-    "WaveformDataset",
-    "adam_train",
-    "d2w_norm",
-    "dab_l1z_values",
-    "dab_model",
-    "dab_params",
-    "dab_pwm",
-    "dab_transition",
-    "discretize",
-    "draw_modulation_specs",
-    "dw_norm",
-    "gradient",
-    "hessian",
-    "lipschitz_aware_rates",
-    "load_dataset",
-    "loss",
-    "mat_norm",
-    "max_entry_norm",
-    "mc_estimate_lipschitz",
-    "neumann_bound",
-    "regret_bound",
-    "regret_ledger",
-    "rollout_free",
-    "rollout_teacher_forced",
-    "sample_thetas",
-    "save_dataset",
-    "settle_to_steady_state",
-    "step",
-    "step_inputs_one_period",
-    "strategy_rates",
-    "synthesize_dataset",
-    "theoretical_L1theta",
-    "theoretical_L1z",
-    "theoretical_L2theta",
-    "theorem2_monitor",
-    "training_diagnostics",
-    "transition_values",
-    "vec_norm",
-    "write_trace_csv",
-]

@@ -94,10 +94,9 @@ _DEFAULTS = {
         "lambda_decay": 0.99999999,
         "max_epochs": 200,
     },
-    "rates": {"scale_c": 1.0, "clamp": [1e-7, 10.0], "window_accrual": 0.95},
+    "rates": {"scale_c": 1.0, "clamp": [1e-7, 10.0]},
     "strategies": list(STRATEGY_LABELS),
     "mc": {"n_z_pairs": 100000, "n_theta_pairs": 10000, "n_theta_samples": 10000},
-    "settle": {"tol": 1e-9},
     "seed": 0,
 }
 # Lower bounds beyond the type's own.
@@ -106,7 +105,6 @@ _MINIMA = {
     "dataset.noise_sigma": 0.0,
     "mc.n_z_pairs": 2,
     "mc.n_theta_pairs": 2,
-    "settle.tol": 0.0,
 }
 _TYPE_NAMES = {float: "a finite number", int: "a whole number >= 0", str: "a string"}
 
@@ -195,10 +193,6 @@ class ExperimentConfig:
         if len(clamp) != 2 or not (0.0 < clamp[0] <= clamp[1]):
             raise ConfigError(f"rates.clamp must be [low, high] with 0 < low <= high, "
                               f"got {clamp}")
-        if not (0.0 < rates["window_accrual"] <= 1.0):
-            raise ConfigError(
-                f"rates.window_accrual must lie in (0, 1], got {rates['window_accrual']}"
-            )
         for s in self.strategies:
             if s not in STRATEGY_LABELS:
                 raise ConfigError(f"unknown strategy {s!r}; expected subset of {STRATEGY_LABELS}")
@@ -282,7 +276,6 @@ def synth_role(config: ExperimentConfig, role: str) -> WaveformDataset:
         seed=config.seed,
         role=role,
         index_base=role_index * 1_000_000,
-        settle_tol=config.settle["tol"],
     )
 
 
@@ -321,7 +314,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             raise ConfigError(f"--theta must be comma-separated numbers, got {args.theta!r}")
         theta = theta.with_values(values)  # raises OutOfBounds for bad values
     trans = transition_values(config.model, theta.values, spec.dt)
-    settled = settle_to_steady_state(trans, step_inputs_one_period(spec), tol=config.settle["tol"])
+    settled = settle_to_steady_state(trans, step_inputs_one_period(spec))
     traj = settled.trajectory
     out.mkdir(parents=True, exist_ok=True)
     _write_trajectory_csv(traj, out / "trajectory.csv")
@@ -500,21 +493,16 @@ def run_strategy_sweep(
                 dt,
                 theta_star_policy=policy,
                 theta_star=star.values,
-                window_accrual=config.rates["window_accrual"],
             )
             monitor = theorem2_monitor(trace)
-            t_axis = np.arange(1, len(trace.records) + 1)
-            bound_curve = [
-                regret_bound(
-                    adam,
-                    d=theta0.dim,
-                    big_d=monitor.d_hat,
-                    big_d_inf=monitor.dinf_hat,
-                    ginf=monitor.ginf_hat,
-                    t=int(t),
-                )
-                for t in t_axis
-            ]
+            bound_curve = regret_bound(
+                adam,
+                d=theta0.dim,
+                big_d=monitor.d_hat,
+                big_d_inf=monitor.dinf_hat,
+                ginf=monitor.ginf_hat,
+                t=np.arange(1, len(trace.records) + 1),
+            )
             summary.update(
                 {
                     "diagnostics": diag.to_dict(),
@@ -522,7 +510,7 @@ def run_strategy_sweep(
                     "monitor": monitor.to_dict(),
                     "regret_bound_curve": [float(b) for b in bound_curve],
                     "regret_bound_dominates": bool(
-                        np.all(ledger.curve <= np.asarray(bound_curve) + 1e-12)
+                        np.all(ledger.curve <= bound_curve + 1e-12)
                     ),
                     "final_loss": float(trace.records[-1].loss),
                     "final_rel_err_pct": [

@@ -92,8 +92,20 @@ def theoretical_L1z(trans: DiscreteTransition, kind: NormKind = NormKind.INFINIT
     return mat_norm(trans.w, kind)
 
 
-def _z_norm_sq(domain: DomainSpec, kind: NormKind) -> float:
-    return vec_norm(domain.z_bound, kind) ** 2
+def _sup_over_domain(
+    domain: DomainSpec, model: ContinuousModel, dt: float, kind: NormKind, n_samples: int,
+    seed: int, term: Callable[[float, float, DiscreteTransition], float],
+) -> float:
+    """max(0, term(||W - W*||, ||z||^2, transition)) over sample_thetas."""
+    w_star = transition_values(model, domain.theta_star, dt).w
+    zn2 = vec_norm(domain.z_bound, kind) ** 2
+    best = 0.0
+    for values in sample_thetas(domain, n_samples, seed):
+        trans = transition_values(model, values, dt)
+        if trans.dw_dtheta is None:
+            raise MissingDerivatives("model provides no dW/dtheta tensor")
+        best = max(best, term(mat_norm(trans.w - w_star, kind), zn2, trans))
+    return best
 
 
 def theoretical_L1theta(
@@ -110,16 +122,10 @@ def theoretical_L1theta(
     data whose z stays within the domain's z bound (G_inf); under the 2-norm
     it bounds loss differences via the mean value theorem.
     """
-    w_star = transition_values(model, domain.theta_star, dt).w
-    zn2 = _z_norm_sq(domain, kind)
-    best = 0.0
-    for values in sample_thetas(domain, n_samples, seed):
-        trans = transition_values(model, values, dt)
-        if trans.dw_dtheta is None:
-            raise MissingDerivatives("model provides no dW/dtheta tensor")
-        val = mat_norm(trans.w - w_star, kind) * zn2 * dw_norm(trans.dw_dtheta, kind)
-        best = max(best, val)
-    return best
+    return _sup_over_domain(
+        domain, model, dt, kind, n_samples, seed,
+        lambda gap, zn2, trans: gap * zn2 * dw_norm(trans.dw_dtheta, kind),
+    )
 
 
 def theoretical_L2theta(
@@ -132,19 +138,15 @@ def theoretical_L2theta(
 ) -> float:
     """sup of ||z||^2 ||dW||^2 + ||W - W*|| ||z||^2 ||d2W||, the Hessian
     norm bound. On a collapsed domain the second term vanishes."""
-    w_star = transition_values(model, domain.theta_star, dt).w
-    zn2 = _z_norm_sq(domain, kind)
-    best = 0.0
-    for values in sample_thetas(domain, n_samples, seed):
-        trans = transition_values(model, values, dt)
-        if trans.dw_dtheta is None or trans.d2w_dtheta2 is None:
-            raise MissingDerivatives("model provides no dW/d2W tensors")
-        dwn = dw_norm(trans.dw_dtheta, kind)
-        val = zn2 * dwn**2 + mat_norm(trans.w - w_star, kind) * zn2 * d2w_norm(
+
+    def term(gap, zn2, trans):
+        if trans.d2w_dtheta2 is None:
+            raise MissingDerivatives("model provides no d2W/dtheta2 tensor")
+        return zn2 * dw_norm(trans.dw_dtheta, kind) ** 2 + gap * zn2 * d2w_norm(
             trans.d2w_dtheta2, kind
         )
-        best = max(best, val)
-    return best
+
+    return _sup_over_domain(domain, model, dt, kind, n_samples, seed, term)
 
 
 @dataclass
@@ -357,13 +359,13 @@ def theorem2_monitor(trace: "TrainingTrace") -> MonitorReport:
     iterates = np.vstack([trace.theta0[np.newaxis, :], np.array([r.theta for r in trace.records])])
     g_hat = float(np.max(np.linalg.norm(grads, 2, axis=1)))
     ginf_hat = float(np.max(np.abs(grads)))
+    # Rounding is monotone, so no pair's rounded difference exceeds the
+    # extreme pair's: the widest coordinate range is the exact pairwise max.
+    dinf_hat = float(np.max(np.ptp(iterates, axis=0)))
     d_hat = 0.0
-    dinf_hat = 0.0
-    for idx in range(iterates.shape[0]):
+    for idx in range(iterates.shape[0] - 1):
         diff = iterates[idx + 1 :] - iterates[idx]
-        if diff.size:
-            d_hat = max(d_hat, float(np.max(np.linalg.norm(diff, 2, axis=1))))
-            dinf_hat = max(dinf_hat, float(np.max(np.abs(diff))))
+        d_hat = max(d_hat, float(np.max(np.linalg.norm(diff, 2, axis=1))))
     ranges = trace.box_upper - trace.box_lower
     satisfied = bool(
         np.isfinite([g_hat, ginf_hat, d_hat, dinf_hat]).all()

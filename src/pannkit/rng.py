@@ -16,7 +16,6 @@ DOMAIN_PHASES = 1  # phase-shift draws for dataset specs (index = dataset role)
 DOMAIN_NOISE = 2  # per-segment measurement noise (index = segment ordinal)
 DOMAIN_MC = 3  # Monte-Carlo pair sampling (index = sample ordinal)
 DOMAIN_THETA = 4  # theta-domain sampling in the Lipschitz calculators
-DOMAIN_MISC = 5  # utility draws (tests, probes)
 
 _INDEX_BITS = 48
 _MASK64 = (1 << 64) - 1

@@ -340,9 +340,11 @@ def regret_ledger(
 
 
 def regret_bound(
-    config: AdamConfig, d: int, big_d: float, big_d_inf: float, ginf: float, t: int
-) -> float:
-    """The three-term regret bound evaluated with supplied constants.
+    config: AdamConfig, d: int, big_d: float, big_d_inf: float, ginf: float,
+    t: int | np.ndarray,
+) -> float | np.ndarray:
+    """The three-term regret bound evaluated with supplied constants, at one
+    horizon t or elementwise over an array of them.
 
     With a per-parameter rate vector the scalar-rate statement is made
     conservative: min(alpha) where the rate divides, max(alpha) where it
@@ -369,7 +371,7 @@ def regret_bound(
         / ((1.0 - b1) * np.sqrt(1.0 - b2) * (1.0 - gamma) ** 2)
         * np.sqrt(t)
     )
-    return float(term1 + term2 + term3)
+    return term1 + term2 + term3
 
 
 @dataclass

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import pannkit as pk
 from pannkit.cli import OUT_ENV_VAR, ExperimentConfig, default_config, load_config, main
+from pannkit.errors import ConfigError
 
 
 @pytest.fixture(autouse=True)
@@ -73,7 +74,7 @@ def test_config_file_overrides_take_effect(tmp_path):
 def test_config_rejects_unknown_sections(tmp_path):
     path = tmp_path / "bad.yaml"
     path.write_text("bogus_section:\n  x: 1\n")
-    with pytest.raises(pk.ConfigError):
+    with pytest.raises(ConfigError):
         load_config(str(path))
 
 
@@ -91,8 +92,8 @@ _MALFORMED = {
     "scalar-strategies": {"strategies": 5},
     "no-strategies": {"strategies": []},
     "word-dt": {"timing": {"dt": "fast"}},
-    "word-tol": {"settle": {"tol": "abc"}},
-    "negative-tol": {"settle": {"tol": -1}},
+    "removed-settle-section": {"settle": {"tol": 1e-9}},
+    "removed-window-accrual": {"rates": {"window_accrual": 0.95}},
     "two-entry-theta": {"theta": _SHORT_THETA},
     "scalar-names": {"theta": {"names": 5}},
     "string-names": {"theta": {"names": "abc"}},
@@ -166,7 +167,7 @@ def test_fuzzed_config_builds_or_is_a_config_error(mutations):
             section[path[-1]] = value
     try:
         config = ExperimentConfig(raw)
-    except pk.ConfigError:
+    except ConfigError:
         return
     echoed = config.to_dict()
     assert ExperimentConfig(echoed).to_dict() == echoed, "parsed values parse to themselves"

@@ -6,7 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 import pannkit as pk
 from pannkit.errors import BoundViolation, DegenerateDomain, MissingDerivatives
-from pannkit.norms import NormKind
+from pannkit.lipschitz import LipschitzReport, dab_l1z_values, sample_thetas, theorem2_monitor
+from pannkit.norms import NormKind, dw_norm, vec_norm
+from pannkit.statespace import DiscreteTransition
 from pannkit.training import EpochRecord, TrainingTrace, gradient, hessian
 
 from conftest import quick_dataset
@@ -25,7 +27,7 @@ def make_report(**overrides):
         seed=0,
     )
     base.update(overrides)
-    return pk.LipschitzReport(**base)
+    return LipschitzReport(**base)
 
 
 def test_l1z_is_the_induced_norm(star):
@@ -39,7 +41,7 @@ def test_l1z_is_the_induced_norm(star):
 
 
 def test_reference_l1z_straddles_one(star):
-    vals = pk.dab_l1z_values(pk.dab_transition(star, DT))
+    vals = dab_l1z_values(pk.dab_transition(star, DT))
     assert vals["l1z_infinity"] > 1.0, "row sum exceeds 1 for the reference converter"
     assert vals["l1z_max_entry"] < 1.0, "every single entry stays below 1"
     assert vals["l1z_infinity"] == pytest.approx(1.0002533890789307, rel=1e-12)
@@ -54,7 +56,7 @@ def test_reference_l1z_straddles_one(star):
 @settings(max_examples=200, deadline=None)
 def test_linear_map_ratio_never_beats_induced_norm(entries, a, b):
     w = np.array([entries])
-    trans = pk.DiscreteTransition(w, None, None, DT)
+    trans = DiscreteTransition(w, None, None, DT)
     bound = pk.theoretical_L1z(trans, NormKind.INFINITY)
     a, b = np.array(a), np.array(b)
     diff = np.max(np.abs(a - b))
@@ -132,7 +134,7 @@ def test_report_round_trips_through_json(tmp_path):
     report = make_report(extras={"note": 1.5})
     path = tmp_path / "r.json"
     report.save(path)
-    back = pk.LipschitzReport.load(path)
+    back = LipschitzReport.load(path)
     assert back.constant_name == report.constant_name
     assert back.norm == report.norm
     assert back.theoretical == report.theoretical
@@ -142,7 +144,7 @@ def test_report_round_trips_through_json(tmp_path):
 
 
 def test_sample_thetas_covers_anchors_and_corners(box_domain):
-    samples = pk.sample_thetas(box_domain, 10, seed=0)
+    samples = sample_thetas(box_domain, 10, seed=0)
     assert samples.shape[0] == 10 + 2 + 8, "draws + star + center + 2^3 corners"
     assert np.all(samples >= box_domain.theta_lower - 1e-15)
     assert np.all(samples <= box_domain.theta_upper + 1e-15)
@@ -154,7 +156,7 @@ def test_sample_thetas_covers_anchors_and_corners(box_domain):
 
 def test_sample_thetas_collapsed_returns_star(box_domain):
     collapsed = box_domain.collapsed()
-    samples = pk.sample_thetas(collapsed, 10, seed=0)
+    samples = sample_thetas(collapsed, 10, seed=0)
     assert samples.shape == (1, 3)
     assert np.array_equal(samples[0], box_domain.theta_star)
 
@@ -192,8 +194,8 @@ def test_l1theta_dominates_gradient_norms(box_domain, model, star, train_dataset
 def test_l2theta_collapsed_is_the_gauss_newton_term(box_domain, model, star):
     val = pk.theoretical_L2theta(box_domain.collapsed(), model, DT)
     trans = pk.dab_transition(star, DT)
-    zn = pk.vec_norm(box_domain.z_bound, NormKind.INFINITY)
-    expect = zn**2 * pk.dw_norm(trans.dw_dtheta, NormKind.INFINITY) ** 2
+    zn = vec_norm(box_domain.z_bound, NormKind.INFINITY)
+    expect = zn**2 * dw_norm(trans.dw_dtheta, NormKind.INFINITY) ** 2
     assert val == pytest.approx(expect, rel=1e-14)
 
 
@@ -251,12 +253,27 @@ def test_monitor_reports_exact_maxima():
         lower=[-5.0, -5.0],
         upper=[5.0, 5.0],
     )
-    rep = pk.theorem2_monitor(trace)
+    rep = theorem2_monitor(trace)
     assert rep.g_hat == 5.0, "gradient 2-norm max is the (3,4) epoch"
     assert rep.ginf_hat == 4.0
     assert rep.d_hat == 2.0, "iterates 0 -> 1 -> 2 on the first axis"
     assert rep.dinf_hat == 2.0
     assert rep.satisfied
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_monitor_dinf_equals_the_pairwise_maximum(seed):
+    rng = np.random.default_rng(seed)
+    # iterates spread over several magnitudes, so differences round
+    thetas = rng.uniform(-1.0, 1.0, size=(40, 2)) * 10.0 ** rng.integers(-6, 3, size=(40, 2))
+    trace = synthetic_trace(thetas, np.ones((40, 2)), thetas[0], [-1e3, -1e3], [1e3, 1e3])
+    iterates = np.vstack([trace.theta0, thetas])
+    pairwise = max(
+        float(np.max(np.abs(iterates[i + 1 :] - iterates[i])))
+        for i in range(len(iterates) - 1)
+    )
+    assert theorem2_monitor(trace).dinf_hat == pairwise
 
 
 def test_monitor_flags_escaped_iterates():
@@ -267,7 +284,7 @@ def test_monitor_flags_escaped_iterates():
         lower=[-5.0, -5.0],
         upper=[5.0, 5.0],
     )
-    rep = pk.theorem2_monitor(trace)
+    rep = theorem2_monitor(trace)
     assert not rep.satisfied, "a diameter larger than the box must fail the check"
 
 
@@ -276,7 +293,7 @@ def test_monitor_to_dict_keys():
         thetas=[[1.0, 1.0]], grads=[[1.0, 1.0]], theta0=[0.0, 0.0],
         lower=[-5.0, -5.0], upper=[5.0, 5.0],
     )
-    d = pk.theorem2_monitor(trace).to_dict()
+    d = theorem2_monitor(trace).to_dict()
     assert set(d) == {"G_hat", "Ginf_hat", "D_hat", "Dinf_hat", "satisfied"}
 
 

@@ -6,15 +6,25 @@ from hypothesis import given, settings, strategies as st
 
 import pannkit as pk
 from pannkit.errors import EmptyDataset, NonFinite, ShapeMismatch
+from pannkit.pann import (
+    StepInput,
+    Trajectory,
+    rollout_free,
+    rollout_teacher_forced,
+    settle_to_steady_state,
+    step,
+)
+from pannkit.signals import WaveformDataset, step_inputs_one_period
+from pannkit.statespace import DiscreteTransition
 
 DT = pk.DEFAULT_DT
 
 
 def test_step_is_the_plain_dot_product(star):
     trans = pk.dab_transition(star, DT)
-    z = pk.StepInput([1.5], [200.0, -200.0])
+    z = StepInput([1.5], [200.0, -200.0])
     expected = trans.w[0, 0] * 1.5 + trans.w[0, 1] * 200.0 + trans.w[0, 2] * (-200.0)
-    got = pk.step(trans, z)
+    got = step(trans, z)
     assert got.shape == (1,)
     assert got[0] == expected, f"step {got[0]} vs dot product {expected}"
 
@@ -22,12 +32,12 @@ def test_step_is_the_plain_dot_product(star):
 def test_step_rejects_wrong_length(star):
     trans = pk.dab_transition(star, DT)
     with pytest.raises(ShapeMismatch):
-        pk.step(trans, pk.StepInput([1.5, 0.1], [200.0, -200.0]))
+        step(trans, StepInput([1.5, 0.1], [200.0, -200.0]))
 
 
 def test_step_input_rejects_nonfinite():
     with pytest.raises(NonFinite):
-        pk.StepInput([np.inf], [0.0, 0.0])
+        StepInput([np.inf], [0.0, 0.0])
 
 
 @given(
@@ -38,12 +48,12 @@ def test_step_is_linear_in_z(a, b, scale):
     trans = pk.dab_transition(pk.dab_params(), DT)
     za = np.array([a, 200.0, -200.0])
     zb = np.array([b, -200.0, 200.0])
-    combo = pk.StepInput(
+    combo = StepInput(
         [za[0] + scale * zb[0]], za[1:] + scale * zb[1:]
     )
-    lhs = pk.step(trans, combo)
-    rhs = pk.step(trans, pk.StepInput([za[0]], za[1:])) + scale * pk.step(
-        trans, pk.StepInput([zb[0]], zb[1:])
+    lhs = step(trans, combo)
+    rhs = step(trans, StepInput([za[0]], za[1:])) + scale * step(
+        trans, StepInput([zb[0]], zb[1:])
     )
     assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-12), "step must be linear in z"
 
@@ -52,7 +62,7 @@ def test_rollout_constant_input_reaches_dc_fixed_point(star):
     trans = pk.dab_transition(star, DT)
     # constant u: fixed point x* solves x = w0 x + w1 u1 + w2 u2
     u = np.tile([[100.0], [50.0]], (1, 50000))
-    traj = pk.rollout_free(trans, [0.0], u)
+    traj = rollout_free(trans, [0.0], u)
     w = trans.w[0]
     x_fix = (w[1] * 100.0 + w[2] * 50.0) / (1.0 - w[0])
     assert traj.states[0, -1] == pytest.approx(x_fix, rel=1e-4), (
@@ -62,7 +72,7 @@ def test_rollout_constant_input_reaches_dc_fixed_point(star):
 
 def test_rollout_zero_everything_stays_zero(star):
     trans = pk.dab_transition(star, DT)
-    traj = pk.rollout_free(trans, [0.0], np.zeros((2, 10)))
+    traj = rollout_free(trans, [0.0], np.zeros((2, 10)))
     assert np.all(traj.states == 0.0)
     assert traj.times[0] == 0.0
     assert traj.dt == pytest.approx(DT)
@@ -70,39 +80,39 @@ def test_rollout_zero_everything_stays_zero(star):
 
 def test_rollout_detects_divergence():
     # an expanding scalar map: W = [2 | 0 0]
-    trans = pk.DiscreteTransition(np.array([[2.0, 0.0, 0.0]]), None, None, DT)
+    trans = DiscreteTransition(np.array([[2.0, 0.0, 0.0]]), None, None, DT)
     with pytest.raises(NonFinite):
-        pk.rollout_free(trans, [1.0], np.zeros((2, 200)))
+        rollout_free(trans, [1.0], np.zeros((2, 200)))
 
 
 def test_rollout_rejects_bad_shapes(star):
     trans = pk.dab_transition(star, DT)
     with pytest.raises(ShapeMismatch):
-        pk.rollout_free(trans, [0.0, 0.0], np.zeros((2, 5)))
+        rollout_free(trans, [0.0, 0.0], np.zeros((2, 5)))
     with pytest.raises(ShapeMismatch):
-        pk.rollout_free(trans, [0.0], np.zeros((3, 5)))
+        rollout_free(trans, [0.0], np.zeros((3, 5)))
     with pytest.raises(ShapeMismatch):
-        pk.rollout_free(trans, [0.0], np.zeros((2, 0)))
+        rollout_free(trans, [0.0], np.zeros((2, 0)))
 
 
 def test_rollout_names_first_overflowing_step():
     # x_k = 2^k first exceeds 1e12 at k = 40
-    trans = pk.DiscreteTransition(np.array([[2.0, 0.0, 0.0]]), None, None, DT)
+    trans = DiscreteTransition(np.array([[2.0, 0.0, 0.0]]), None, None, DT)
     with pytest.raises(NonFinite, match="at step 40;"):
-        pk.rollout_free(trans, [1.0], np.zeros((2, 200)))
+        rollout_free(trans, [1.0], np.zeros((2, 200)))
     # an infinite input at column 5 makes state 6 the first non-finite one
-    trans = pk.DiscreteTransition(np.array([[0.5, 1.0, 0.0]]), None, None, DT)
+    trans = DiscreteTransition(np.array([[0.5, 1.0, 0.0]]), None, None, DT)
     inputs = np.zeros((2, 20))
     inputs[0, 5] = np.inf
     with pytest.raises(NonFinite, match="at step 6;"):
-        pk.rollout_free(trans, [0.0], inputs)
+        rollout_free(trans, [0.0], inputs)
 
 
 def test_settle_is_immediate_for_memoryless_map():
     # W = [0 | 1 0]: the state equals the last input, so the orbit is exact
-    trans = pk.DiscreteTransition(np.array([[0.0, 1.0, 0.0]]), None, None, DT)
-    inputs = pk.step_inputs_one_period(pk.ModulationSpec())
-    settled = pk.settle_to_steady_state(trans, inputs)
+    trans = DiscreteTransition(np.array([[0.0, 1.0, 0.0]]), None, None, DT)
+    inputs = step_inputs_one_period(pk.ModulationSpec())
+    settled = settle_to_steady_state(trans, inputs)
     states = settled.trajectory.states[0]
     assert states[0] == inputs[0, -1], "the orbit starts at the period's last input"
     assert np.array_equal(states[1:], inputs[0]), "each state must equal the last input"
@@ -111,20 +121,20 @@ def test_settle_is_immediate_for_memoryless_map():
 
 def test_settle_reference_converges(star):
     trans = pk.dab_transition(star, DT)
-    inputs = pk.step_inputs_one_period(pk.ModulationSpec(phase_shift=0.25))
-    settled = pk.settle_to_steady_state(trans, inputs, tol=1e-9)
+    inputs = step_inputs_one_period(pk.ModulationSpec(phase_shift=0.25))
+    settled = settle_to_steady_state(trans, inputs, tol=1e-9)
     assert settled.converged, "reference model must settle"
     assert settled.cycles <= 2, f"settling rolled out {settled.cycles} periods"
     # the settled period must be stationary: one more period reproduces it
     last = settled.trajectory
-    again = pk.rollout_free(trans, last.states[:, 0], last.inputs)
+    again = rollout_free(trans, last.states[:, 0], last.inputs)
     assert np.allclose(again.states, last.states, rtol=0, atol=1e-6 * 200.0)
 
 
 def test_settle_zero_tolerance_reports_not_settled(star):
     trans = pk.dab_transition(star, DT)
-    inputs = pk.step_inputs_one_period(pk.ModulationSpec(phase_shift=0.25))
-    settled = pk.settle_to_steady_state(trans, inputs, tol=0.0)
+    inputs = step_inputs_one_period(pk.ModulationSpec(phase_shift=0.25))
+    settled = settle_to_steady_state(trans, inputs, tol=0.0)
     scale = np.max(np.abs(settled.trajectory.states))
     assert not settled.converged, "tol=0 leaves no room for rounding"
     assert 0.0 < settled.residual <= 1e-12 * scale, (
@@ -136,9 +146,9 @@ def test_settled_state_is_periodic_over_ten_periods(star):
     trans = pk.dab_transition(star, DT)
     spec = pk.ModulationSpec(phase_shift=0.25, n_periods=10)
     one = pk.ModulationSpec(phase_shift=0.25)
-    settled = pk.settle_to_steady_state(trans, pk.step_inputs_one_period(one), tol=1e-12)
+    settled = settle_to_steady_state(trans, step_inputs_one_period(one), tol=1e-12)
     x0 = settled.trajectory.states[:, 0]
-    ten = pk.rollout_free(trans, x0, np.tile(pk.step_inputs_one_period(one), (1, 10)))
+    ten = rollout_free(trans, x0, np.tile(step_inputs_one_period(one), (1, 10)))
     p = spec.steps_per_period
     for c in range(10):
         seg = ten.states[0, c * p : (c + 1) * p]
@@ -156,11 +166,11 @@ def assert_matches_brute_force(trans, inputs, periods=200, tol=1e-9):
     the slow corner of the DAB box (large L_k, small R_L) takes far more
     than 200 periods.
     """
-    settled = pk.settle_to_steady_state(trans, inputs, tol=tol)
+    settled = settle_to_steady_state(trans, inputs, tol=tol)
     assert settled.converged and settled.cycles == 2
     x0 = settled.trajectory.states[:, 0]
     p = inputs.shape[1]
-    brute = pk.rollout_free(trans, np.zeros(trans.dim_x), np.tile(inputs, (1, periods)))
+    brute = rollout_free(trans, np.zeros(trans.dim_x), np.tile(inputs, (1, periods)))
     decay = np.linalg.matrix_power(trans.w[:, : trans.dim_x], p * periods)
     expected = x0 - decay @ x0
     scale = np.max(np.abs(settled.trajectory.states))
@@ -177,7 +187,7 @@ def assert_matches_brute_force(trans, inputs, periods=200, tol=1e-9):
 @settings(max_examples=30, deadline=None)
 def test_closed_form_start_matches_brute_force_dab(lk, rl, n, phase):
     trans = pk.dab_transition(pk.dab_params([lk, rl, n]), DT)
-    inputs = pk.step_inputs_one_period(pk.ModulationSpec(phase_shift=phase))
+    inputs = step_inputs_one_period(pk.ModulationSpec(phase_shift=phase))
     assert_matches_brute_force(trans, inputs)
 
 
@@ -193,7 +203,7 @@ def test_closed_form_start_matches_brute_force_generic(phase):
         b_of=lambda _v: np.array([[1e3, -1e3], [0.0, 5e2]]),
     )
     trans = pk.transition_values(model, np.array([]), DT)
-    inputs = pk.step_inputs_one_period(pk.ModulationSpec(phase_shift=phase))
+    inputs = step_inputs_one_period(pk.ModulationSpec(phase_shift=phase))
     assert_matches_brute_force(trans, inputs)
 
 
@@ -202,15 +212,15 @@ def test_closed_form_start_matches_brute_force_generic(phase):
 )
 def test_settle_rejects_spectral_radius_at_least_one(w_x):
     w_x = np.array(w_x)
-    trans = pk.DiscreteTransition(np.hstack([w_x, np.ones((w_x.shape[0], 2))]), None, None, DT)
-    inputs = pk.step_inputs_one_period(pk.ModulationSpec())
+    trans = DiscreteTransition(np.hstack([w_x, np.ones((w_x.shape[0], 2))]), None, None, DT)
+    inputs = step_inputs_one_period(pk.ModulationSpec())
     with pytest.raises(NonFinite, match="spectral radius"):
-        pk.settle_to_steady_state(trans, inputs)
+        settle_to_steady_state(trans, inputs)
 
 
 def test_teacher_forced_matches_w_times_z(star, train_dataset):
     trans = pk.dab_transition(star, DT)
-    pred = pk.rollout_teacher_forced(trans, train_dataset)
+    pred = rollout_teacher_forced(trans, train_dataset)
     z, targets = train_dataset.stacked()
     assert pred.shape == targets.shape
     assert np.array_equal(pred, trans.w @ z)
@@ -225,7 +235,7 @@ def test_teacher_forced_error_is_linear_in_w_offset(star, train_dataset):
     other = pk.dab_params([80e-6, 1.0, 0.9])
     trans_other = pk.dab_transition(other, DT)
     z, targets = train_dataset.stacked()
-    pred = pk.rollout_teacher_forced(trans_other, train_dataset)
+    pred = rollout_teacher_forced(trans_other, train_dataset)
     assert np.allclose(
         pred - targets, (trans_other.w - trans_star.w) @ z, rtol=0, atol=1e-12
     ), "teacher-forced residual must equal (W - W*) z on noiseless data"
@@ -234,15 +244,15 @@ def test_teacher_forced_error_is_linear_in_w_offset(star, train_dataset):
 def test_teacher_forced_rejects_empty(star):
     trans = pk.dab_transition(star, DT)
     with pytest.raises(EmptyDataset):
-        pk.rollout_teacher_forced(trans, pk.WaveformDataset([]))
+        rollout_teacher_forced(trans, WaveformDataset([]))
 
 
 def test_trajectory_rejects_irregular_times():
     with pytest.raises(ShapeMismatch):
-        pk.Trajectory(
+        Trajectory(
             times=[0.0, 1.0, 3.0],
             states=np.zeros((1, 3)),
             inputs=np.zeros((2, 2)),
         )
     with pytest.raises(ShapeMismatch):
-        pk.Trajectory(times=[0.0, 1.0], states=np.zeros((1, 3)), inputs=np.zeros((2, 2)))
+        Trajectory(times=[0.0, 1.0], states=np.zeros((1, 3)), inputs=np.zeros((2, 2)))

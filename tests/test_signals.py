@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import pannkit as pk
 from pannkit.errors import EmptyDataset, InvalidSpec
+from pannkit.signals import dab_pwm, step_inputs_one_period
 from pannkit.training import loss
 
 from conftest import quick_dataset
@@ -37,7 +38,7 @@ def test_reference_spec_has_250_steps():
 
 def test_pwm_levels_and_zero_mean():
     spec = pk.ModulationSpec(phase_shift=0.3)
-    u = pk.dab_pwm(spec)
+    u = dab_pwm(spec)
     assert u.shape == (2, 250)
     assert set(np.unique(u[0])) == {-200.0, 200.0}
     assert set(np.unique(u[1])) == {-200.0, 200.0}
@@ -46,19 +47,19 @@ def test_pwm_levels_and_zero_mean():
 
 
 def test_pwm_zero_phase_means_aligned_bridges():
-    u = pk.dab_pwm(pk.ModulationSpec(phase_shift=0.0))
+    u = dab_pwm(pk.ModulationSpec(phase_shift=0.0))
     assert np.array_equal(u[0], u[1]), "zero phase shift must align the bridges"
 
 
 def test_pwm_half_period_shift_inverts():
-    u = pk.dab_pwm(pk.ModulationSpec(phase_shift=0.5))
+    u = dab_pwm(pk.ModulationSpec(phase_shift=0.5))
     assert np.array_equal(u[1], -u[0]), "0.5 of a full period is a sign flip"
 
 
 def test_pwm_shift_is_a_sample_roll():
     spec = pk.ModulationSpec(phase_shift=0.1)  # 25 of 250 samples
-    u = pk.dab_pwm(spec)
-    u0 = pk.dab_pwm(pk.ModulationSpec(phase_shift=0.0))
+    u = dab_pwm(spec)
+    u0 = dab_pwm(pk.ModulationSpec(phase_shift=0.0))
     assert np.array_equal(u[1], np.roll(u0[1], 25)), (
         "phase shift must delay the secondary by phase*period"
     )
@@ -66,8 +67,8 @@ def test_pwm_shift_is_a_sample_roll():
 
 def test_step_inputs_are_next_sample():
     spec = pk.ModulationSpec(phase_shift=0.2)
-    samples = pk.dab_pwm(spec)
-    inputs = pk.step_inputs_one_period(spec)
+    samples = dab_pwm(spec)
+    inputs = step_inputs_one_period(spec)
     p = spec.steps_per_period
     for k in range(p):
         assert np.array_equal(inputs[:, k], samples[:, (k + 1) % p]), f"column {k}"

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import pannkit as pk
 from pannkit.errors import OutOfBounds, SingularDiscretization, StepTooLarge
+from pannkit.statespace import discretize
 
 DT = pk.DEFAULT_DT
 
@@ -74,7 +75,7 @@ def test_zero_resistance_transition():
 
 
 def test_generic_route_matches_closed_form(star, model):
-    generic = pk.discretize(model, star, DT)
+    generic = discretize(model, star, DT)
     closed = pk.dab_transition(star, DT)
     assert np.allclose(generic.w, closed.w, rtol=1e-13, atol=0), (
         f"dense solve {generic.w} vs closed form {closed.w}"
@@ -94,7 +95,7 @@ def test_generic_route_matches_closed_form(star, model):
 def test_routes_agree_across_box(lk, rl, n):
     model = pk.dab_model()
     theta = pk.dab_params([lk, rl, n])
-    generic = pk.discretize(model, theta, DT)
+    generic = discretize(model, theta, DT)
     closed = pk.dab_transition(theta, DT)
     oracle = w_closed_form([lk, rl, n], DT)
     assert np.allclose(generic.w, oracle, rtol=1e-13, atol=0)
@@ -116,7 +117,7 @@ def test_discretize_rejects_nonpositive_dt(star, model):
     with pytest.raises(SingularDiscretization):
         pk.dab_transition(star, 0.0)
     with pytest.raises(SingularDiscretization):
-        pk.discretize(model, star, -1e-9)
+        discretize(model, star, -1e-9)
 
 
 def test_dab_transition_rejects_out_of_box_theta(star):

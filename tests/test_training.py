@@ -5,6 +5,8 @@ import pytest
 
 import pannkit as pk
 from pannkit.errors import ConfigError, DivergentBound, EmptyTrace, NonPositiveBound
+from pannkit.signals import Segment, WaveformDataset
+from pannkit.statespace import DAB_LOWER, DAB_NAMES, DAB_THETA_STAR, DAB_UPPER
 from pannkit.training import (
     AdamConfig,
     EpochRecord,
@@ -28,26 +30,26 @@ DT = pk.DEFAULT_DT
 
 def zero_dataset(n_steps=5):
     """All-zero z and targets: loss and gradient are exactly zero."""
-    seg = pk.Segment(
+    seg = Segment(
         z=np.zeros((3, n_steps)),
         targets=np.zeros((1, n_steps)),
         spec=pk.ModulationSpec(),
         noise_sigma=0.0,
         settled=True,
     )
-    return pk.WaveformDataset([seg])
+    return WaveformDataset([seg])
 
 
 def constant_target_dataset(value, n_steps=4):
     """Zero z with constant targets: residual is -value at every step."""
-    seg = pk.Segment(
+    seg = Segment(
         z=np.zeros((3, n_steps)),
         targets=np.full((1, n_steps), float(value)),
         spec=pk.ModulationSpec(),
         noise_sigma=0.0,
         settled=True,
     )
-    return pk.WaveformDataset([seg])
+    return WaveformDataset([seg])
 
 
 def make_trace(thetas, theta0, losses=None, names=("L_k", "R_L", "n")):
@@ -71,8 +73,8 @@ def make_trace(thetas, theta0, losses=None, names=("L_k", "R_L", "n")):
         strategy="custom",
         seed=0,
         theta0=np.asarray(theta0, dtype=float),
-        box_lower=pk.DAB_LOWER.copy(),
-        box_upper=pk.DAB_UPPER.copy(),
+        box_lower=DAB_LOWER.copy(),
+        box_upper=DAB_UPPER.copy(),
         names=names,
     )
 
@@ -229,7 +231,7 @@ def test_adam_flags_nonfinite_loss(star):
         da_dtheta=lambda _v: np.zeros((1, 1, 3)),
         db_dtheta=lambda _v: np.zeros((1, 2, 3)),
     )
-    ds = quick_dataset(pk.DAB_THETA_STAR, 0.2)
+    ds = quick_dataset(DAB_THETA_STAR, 0.2)
     theta0 = pk.dab_params([120e-6, 0.903, 1.12])
     with np.errstate(over="ignore"):
         trace = adam_train(ds, blowup, DT, theta0, AdamConfig(np.full(3, 1e-3), max_epochs=5))
@@ -251,8 +253,8 @@ def test_trace_requires_contiguous_epochs():
     with pytest.raises(EmptyTrace):
         TrainingTrace(
             records=[rec], strategy="x", seed=0,
-            theta0=np.zeros(3), box_lower=pk.DAB_LOWER, box_upper=pk.DAB_UPPER,
-            names=pk.DAB_NAMES,
+            theta0=np.zeros(3), box_lower=DAB_LOWER, box_upper=DAB_UPPER,
+            names=DAB_NAMES,
         )
 
 
@@ -306,6 +308,14 @@ def test_regret_bound_shape():
             AdamConfig(np.array([1e-3]), lambda_decay=1.0),
             d=1, big_d=1.0, big_d_inf=1.0, ginf=10.0, t=1,
         )
+
+
+def test_regret_bound_curve_equals_per_epoch_bounds():
+    cfg = AdamConfig(np.array([4.6e-6, 7.3e-2, 9.8e-3]))
+    constants = dict(d=3, big_d=1.67, big_d_inf=1.66, ginf=297.0)
+    t = np.arange(1, 3001)
+    per_epoch = [regret_bound(cfg, **constants, t=int(k)) for k in t]
+    assert np.array_equal(regret_bound(cfg, **constants, t=t), per_epoch)
 
 
 def test_diagnostics_monotone_approach():
