@@ -53,10 +53,9 @@ from .signals import (
 from .statespace import DAB_NAMES, ParamVector, dab_model, transition_values
 from .training import (
     AdamConfig,
+    LossStatistics,
     adam_train,
-    gradient,
     lipschitz_aware_rates,
-    loss,
     regret_bound,
     regret_ledger,
     strategy_rates,
@@ -356,9 +355,12 @@ def compute_lipschitz_reports(
     domain = DomainSpec(star.lower, star.upper, z_bound, star.values)
 
     w = trans_star.w
+    # The loss and gradient maps evaluate blocks of thetas from statistics
+    # referenced at theta*.
+    stats = LossStatistics.of(train_dataset, w)
 
-    def step_map(zv: np.ndarray) -> np.ndarray:
-        return w @ zv
+    def step_map(zs: np.ndarray) -> np.ndarray:
+        return zs @ w.T
 
     l1z_report = mc_estimate_lipschitz(
         step_map,
@@ -370,10 +372,11 @@ def compute_lipschitz_reports(
         theoretical=theoretical_L1z(trans_star, NormKind.INFINITY),
         constant_name="L1z",
         extras=dab_l1z_values(trans_star),
+        batched=True,
     )
 
-    def loss_map(values: np.ndarray) -> np.ndarray:
-        return np.atleast_1d(loss(star.with_values(values), train_dataset, model, dt))
+    def loss_map(thetas: np.ndarray) -> np.ndarray:
+        return stats.loss(transition_values(model, thetas, dt))
 
     l1t_two = theoretical_L1theta(
         domain, model, dt, NormKind.TWO, n_samples=mc["n_theta_samples"], seed=config.seed
@@ -391,10 +394,11 @@ def compute_lipschitz_reports(
         theoretical=l1t_two,
         constant_name="L1theta",
         extras={"ginf_theoretical": l1t_inf},
+        batched=True,
     )
 
-    def grad_map(values: np.ndarray) -> np.ndarray:
-        return gradient(star.with_values(values), train_dataset, model, dt)
+    def grad_map(thetas: np.ndarray) -> np.ndarray:
+        return stats.gradient(transition_values(model, thetas, dt))
 
     l2t_two = theoretical_L2theta(
         domain, model, dt, NormKind.TWO, n_samples=mc["n_theta_samples"], seed=config.seed
@@ -412,6 +416,7 @@ def compute_lipschitz_reports(
         theoretical=l2t_two,
         constant_name="L2theta",
         extras={"l2theta_star_infinity": l2t_star_inf},
+        batched=True,
     )
     return {"L1z": l1z_report, "L1theta": l1theta_report, "L2theta": l2theta_report}
 

@@ -13,9 +13,12 @@ Three constants are covered:
 
 The suprema are evaluated by deterministic dense sampling of the theta box
 (uniform draws plus all box corners, the center, and the reference point), so
-they are concrete checkable numbers. The MC estimators draw pairs from
-per-sample keyed substreams, making the running maximum independent of
-evaluation order.
+they are concrete checkable numbers. The MC estimators draw pairs in blocks
+of 512, each block from one substream keyed by its ordinal, with a fixed draw
+layout per sample: sample i depends only on (seed, i), so the running maximum
+over any prefix is independent of evaluation order. Suprema and pairs are
+evaluated one block at a time, so no array grows with the sample count
+beyond the sampled thetas themselves.
 """
 from __future__ import annotations
 
@@ -42,6 +45,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from .training import TrainingTrace
 
 _MAX_CORNER_DIMS = 16
+# Thetas or pairs evaluated at once. It bounds every block array, and so the
+# stage's peak memory, whatever the sample counts.
+_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -94,17 +100,19 @@ def theoretical_L1z(trans: DiscreteTransition, kind: NormKind = NormKind.INFINIT
 
 def _sup_over_domain(
     domain: DomainSpec, model: ContinuousModel, dt: float, kind: NormKind, n_samples: int,
-    seed: int, term: Callable[[float, float, DiscreteTransition], float],
+    seed: int, term: Callable[[np.ndarray, float, DiscreteTransition], np.ndarray],
 ) -> float:
-    """max(0, term(||W - W*||, ||z||^2, transition)) over sample_thetas."""
+    """max(0, term(||W - W*||, ||z||^2, transitions)) over sample_thetas,
+    evaluated one block of thetas at a time."""
     w_star = transition_values(model, domain.theta_star, dt).w
     zn2 = vec_norm(domain.z_bound, kind) ** 2
+    thetas = sample_thetas(domain, n_samples, seed)
     best = 0.0
-    for values in sample_thetas(domain, n_samples, seed):
-        trans = transition_values(model, values, dt)
+    for start in range(0, len(thetas), _BLOCK):
+        trans = transition_values(model, thetas[start : start + _BLOCK], dt)
         if trans.dw_dtheta is None:
             raise MissingDerivatives("model provides no dW/dtheta tensor")
-        best = max(best, term(mat_norm(trans.w - w_star, kind), zn2, trans))
+        best = max(best, float(np.max(term(mat_norm(trans.w - w_star, kind), zn2, trans))))
     return best
 
 
@@ -142,7 +150,8 @@ def theoretical_L2theta(
     def term(gap, zn2, trans):
         if trans.d2w_dtheta2 is None:
             raise MissingDerivatives("model provides no d2W/dtheta2 tensor")
-        return zn2 * dw_norm(trans.dw_dtheta, kind) ** 2 + gap * zn2 * d2w_norm(
+        # float_power squares as Python's float ** 2 does, bit for bit.
+        return zn2 * np.float_power(dw_norm(trans.dw_dtheta, kind), 2) + gap * zn2 * d2w_norm(
             trans.d2w_dtheta2, kind
         )
 
@@ -227,28 +236,53 @@ class BoxSampler:
     def scale(self) -> float:
         return float(np.max(self.upper - self.lower))
 
-    def draw(self, rng: np.random.Generator) -> np.ndarray:
-        return rng.uniform(self.lower, self.upper)
+    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """n uniform points, shape (n, dim)."""
+        return rng.uniform(self.lower, self.upper, size=(n, self.dim))
 
     def clip(self, x: np.ndarray) -> np.ndarray:
         return np.clip(x, self.lower, self.upper)
 
 
-def _local_direction(rng: np.random.Generator, dim: int, variant: int, kind: NormKind) -> np.ndarray:
-    """Unit perturbation direction: axis, sign-corner, or random.
+def _directions(g: np.ndarray, variant: np.ndarray, kind: NormKind) -> np.ndarray:
+    """Unit perturbation directions from standard normals g (one row per
+    sample): variant 0 is an axis with a random sign, 1 a sign corner, 2 a
+    random direction.
 
     Sign-corner directions attain the induced infinity norm of a linear map;
     random directions approach the 2-norm's maximizer.
     """
-    if variant == 0:
-        d = np.zeros(dim)
-        d[rng.integers(dim)] = rng.choice([-1.0, 1.0])
-        return d
-    if variant == 1:
-        return rng.choice([-1.0, 1.0], size=dim)
-    g = rng.normal(size=dim)
-    n = vec_norm(g, kind)
-    return g / n if n > 0 else np.full(dim, 1.0)
+    rows = np.arange(len(g))
+    axis = np.zeros_like(g)
+    k = np.argmax(np.abs(g), axis=1)
+    axis[rows, k] = np.where(g[rows, k] < 0, -1.0, 1.0)
+    corner = np.where(g < 0, -1.0, 1.0)
+    n = vec_norm(g, kind)[:, None]
+    rand = np.divide(g, n, out=np.ones_like(g), where=n > 0)
+    return np.choose(variant[:, None], [axis, corner, rand])
+
+
+def _draw_pairs(
+    sampler: BoxSampler, pairing: str, seed: int, block: int, kind: NormKind, delta: float
+):
+    """The _BLOCK pairs (a, b) of one block. Each draw is a (_BLOCK, dim) array
+    whose row j belongs to sample block*_BLOCK + j, however many are used."""
+    rng = substream(seed, DOMAIN_MC, block)
+    a = sampler.draw(rng, _BLOCK)
+    far = sampler.draw(rng, _BLOCK)
+    g = rng.standard_normal((_BLOCK, sampler.dim))
+    i = block * _BLOCK + np.arange(_BLOCK)
+    near = sampler.clip(a + delta * _directions(g, (i // 2) % 3, kind))
+    if pairing == "mixed":
+        local = i % 2 == 1
+    else:
+        local = np.full(_BLOCK, pairing == "local")
+    return a, np.where(local[:, None], near, far)
+
+
+def _per_point(f: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
+    """The block function that applies a per-point f to each row."""
+    return lambda block: np.array([np.ravel(f(x)) for x in block])
 
 
 def mc_estimate_lipschitz(
@@ -263,13 +297,16 @@ def mc_estimate_lipschitz(
     constant_name: str = "L1z",
     tol_report: float = 1e-9,
     extras: Optional[dict] = None,
+    batched: bool = False,
 ) -> LipschitzReport:
     """Max of ||f(a) - f(b)|| / ||a - b|| over sampled pairs.
 
-    pairing: "random" (independent pairs), "local" (a plus a delta-sized
-    perturbation), or "mixed" (alternating, the default). Coincident pairs
-    are skipped and counted. Sample i depends only on (seed, i), so the
-    maximum over any prefix is reduction-order independent.
+    f maps one point to a vector, or with batched=True a (B, dim) block of
+    points to a (B, m) block of vectors. pairing: "random" (independent
+    pairs), "local" (a plus a delta-sized perturbation), or "mixed"
+    (alternating, the default). Coincident pairs are skipped and counted.
+    Sample i depends only on (seed, i), so the maximum over any prefix is
+    reduction-order independent.
     """
     if n_samples < 2:
         raise DegenerateDomain(f"need at least 2 samples, got {n_samples}")
@@ -279,26 +316,26 @@ def mc_estimate_lipschitz(
         delta = 1e-6 * sampler.scale
     if delta <= 0:
         raise DegenerateDomain(f"delta must be positive, got {delta}")
+    block_f = f if batched else _per_point(f)
     best = -1.0
     best_pair = None
     n_skipped = 0
-    for i in range(n_samples):
-        rng = substream(seed, DOMAIN_MC, i)
-        local = pairing == "local" or (pairing == "mixed" and i % 2 == 1)
-        a = sampler.draw(rng)
-        if local:
-            direction = _local_direction(rng, sampler.dim, (i // 2) % 3, kind)
-            b = sampler.clip(a + delta * direction)
-        else:
-            b = sampler.draw(rng)
+    for start in range(0, n_samples, _BLOCK):
+        a, b = _draw_pairs(sampler, pairing, seed, start // _BLOCK, kind, delta)
+        a, b = a[: n_samples - start], b[: n_samples - start]
         dist = vec_norm(a - b, kind)
-        if dist < 1e-300:
-            n_skipped += 1
+        kept = dist >= 1e-300
+        n_skipped += int(np.count_nonzero(~kept))
+        if not np.any(kept):
             continue
-        ratio = vec_norm(np.asarray(f(a)) - np.asarray(f(b)), kind) / dist
-        if ratio > best:
-            best = ratio
-            best_pair = (a.copy(), b.copy())
+        a, b, dist = a[kept], b[kept], dist[kept]
+        fa = np.reshape(block_f(a), (len(a), -1))
+        fb = np.reshape(block_f(b), (len(b), -1))
+        ratio = vec_norm(fa - fb, kind) / dist
+        j = int(np.argmax(ratio))
+        if ratio[j] > best:
+            best = float(ratio[j])
+            best_pair = (a[j].copy(), b[j].copy())
     if best_pair is None:
         raise DegenerateDomain(
             f"all {n_samples} sampled pairs were coincident; the domain is degenerate"

@@ -11,6 +11,10 @@ bound-dominance inequality in the test suite is an actual theorem:
   stacked Jacobian.
 - d2W (shape D_x x D x D_theta x D_theta) under infinity is
   max_i sum_j ||slice_ij||_inf; under 2 it is sqrt(sum_ij ||slice_ij||_2^2).
+
+Every helper reduces over the trailing axes its object occupies: one object
+gives a float, a batch of them (leading axes) gives an array of norms, each
+equal bit for bit to the float of that object alone.
 """
 from __future__ import annotations
 
@@ -24,18 +28,29 @@ class NormKind(str, enum.Enum):
     INFINITY = "infinity"
 
 
-def vec_norm(v: np.ndarray, kind: NormKind) -> float:
-    v = np.asarray(v, dtype=float).ravel()
+def _ord(kind: NormKind):
+    return 2 if kind == NormKind.TWO else np.inf
+
+
+def _float_or_array(x):
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def vec_norm(v: np.ndarray, kind: NormKind):
+    v = np.asarray(v, dtype=float)
+    if v.ndim > 1:
+        return np.linalg.norm(v, _ord(kind), axis=-1)
+    # One vector keeps numpy's dot-product 2-norm, which rounds differently
+    # from the per-row reduction above.
+    v = v.ravel()
     if kind == NormKind.TWO:
         return float(np.linalg.norm(v, 2))
     return float(np.max(np.abs(v))) if v.size else 0.0
 
 
-def mat_norm(m: np.ndarray, kind: NormKind) -> float:
+def mat_norm(m: np.ndarray, kind: NormKind):
     m = np.atleast_2d(np.asarray(m, dtype=float))
-    if kind == NormKind.TWO:
-        return float(np.linalg.norm(m, 2))
-    return float(np.linalg.norm(m, np.inf))
+    return _float_or_array(np.linalg.norm(m, _ord(kind), axis=(-2, -1)))
 
 
 def max_entry_norm(m: np.ndarray) -> float:
@@ -43,32 +58,30 @@ def max_entry_norm(m: np.ndarray) -> float:
     return float(np.max(np.abs(np.asarray(m, dtype=float))))
 
 
-def dw_norm(dw: np.ndarray, kind: NormKind) -> float:
+def dw_norm(dw: np.ndarray, kind: NormKind):
     dw = np.asarray(dw, dtype=float)
-    if dw.ndim != 3:
-        raise ValueError(f"dW tensor must be 3-D, got shape {dw.shape}")
-    d_x, d_z, d_theta = dw.shape
+    if dw.ndim < 3:
+        raise ValueError(f"dW tensor must be at least 3-D, got shape {dw.shape}")
+    *batch, d_x, d_z, d_theta = dw.shape
     if kind == NormKind.TWO:
-        stacked = np.transpose(dw, (0, 2, 1)).reshape(d_x * d_theta, d_z)
-        return float(np.linalg.norm(stacked, 2))
-    return max(mat_norm(dw[:, :, i], NormKind.INFINITY) for i in range(d_theta))
+        stacked = np.swapaxes(dw, -2, -1).reshape(*batch, d_x * d_theta, d_z)
+        return mat_norm(stacked, NormKind.TWO)
+    slices = np.moveaxis(dw, -1, -3)
+    return _float_or_array(np.max(mat_norm(slices, NormKind.INFINITY), axis=-1))
 
 
-def d2w_norm(d2w: np.ndarray, kind: NormKind) -> float:
+def d2w_norm(d2w: np.ndarray, kind: NormKind):
     d2w = np.asarray(d2w, dtype=float)
-    if d2w.ndim != 4:
-        raise ValueError(f"d2W tensor must be 4-D, got shape {d2w.shape}")
-    d_theta = d2w.shape[2]
+    if d2w.ndim < 4:
+        raise ValueError(f"d2W tensor must be at least 4-D, got shape {d2w.shape}")
+    d_theta = d2w.shape[-1]
+    # slice_ij norms, shape (..., D_theta, D_theta)
+    norms = mat_norm(np.moveaxis(d2w, (-2, -1), (-4, -3)), kind)
     if kind == NormKind.TWO:
+        # float_power and this summation order match the scalar float sum.
         total = 0.0
         for i in range(d_theta):
             for j in range(d_theta):
-                total += mat_norm(d2w[:, :, i, j], NormKind.TWO) ** 2
-        return float(np.sqrt(total))
-    best = 0.0
-    for i in range(d_theta):
-        row = sum(
-            mat_norm(d2w[:, :, i, j], NormKind.INFINITY) for j in range(d_theta)
-        )
-        best = max(best, row)
-    return float(best)
+                total = total + np.float_power(norms[..., i, j], 2)
+        return _float_or_array(np.sqrt(total))
+    return _float_or_array(np.max(np.sum(norms, axis=-1), axis=-1))

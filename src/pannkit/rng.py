@@ -14,7 +14,7 @@ import numpy as np
 # never collide across subsystems sharing one master seed.
 DOMAIN_PHASES = 1  # phase-shift draws for dataset specs (index = dataset role)
 DOMAIN_NOISE = 2  # per-segment measurement noise (index = segment ordinal)
-DOMAIN_MC = 3  # Monte-Carlo pair sampling (index = sample ordinal)
+DOMAIN_MC = 3  # Monte-Carlo pair sampling (index = ordinal of a block of 512 pairs)
 DOMAIN_THETA = 4  # theta-domain sampling in the Lipschitz calculators
 
 _INDEX_BITS = 48

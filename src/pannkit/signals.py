@@ -126,6 +126,7 @@ class WaveformDataset:
     _stacked: Optional[Tuple[np.ndarray, np.ndarray]] = field(
         default=None, repr=False, compare=False
     )
+    _gram: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def stacked(self) -> Tuple[np.ndarray, np.ndarray]:
         """(Z, X): z columns and target columns concatenated across segments."""
@@ -136,6 +137,14 @@ class WaveformDataset:
             x = np.hstack([s.targets for s in self.segments])
             self._stacked = (z, x)
         return self._stacked
+
+    def gram(self) -> np.ndarray:
+        """Z Z^T / K over the stacked z columns, the data's part of the loss's
+        quadratic form; computed once, like `stacked`."""
+        if self._gram is None:
+            z, _ = self.stacked()
+            self._gram = z @ z.T / z.shape[1]
+        return self._gram
 
     @property
     def n_steps(self) -> int:

@@ -10,7 +10,8 @@ whose trainable parameters are the circuit parameters themselves. The module
 ships both the generic dense-solve route (`discretize`) and the closed-form
 dual-active-bridge concretization (`dab_transition`) with analytic first and
 second parameter derivatives; the two routes are kept independent so tests
-can cross-check them.
+can cross-check them. Both evaluate one theta of shape (D_theta,) or a block
+of shape (B, D_theta); a block's tensors carry a leading batch axis.
 """
 from __future__ import annotations
 
@@ -122,6 +123,7 @@ class DiscreteTransition:
     dw_dtheta has shape (D_x, D_x + D_u, D_theta); d2w_dtheta2 appends one
     more theta axis and is symmetric in the two theta indices. Either tensor
     may be None when the source model lacks the corresponding derivatives.
+    For a block of thetas every array has a leading axis of length B.
     """
 
     w: np.ndarray
@@ -131,20 +133,20 @@ class DiscreteTransition:
 
     def __post_init__(self):
         self.w = np.atleast_2d(np.asarray(self.w, dtype=float))
-        if not np.all(np.isfinite(self.w)):
+        if not np.isfinite(self.w).all():
             raise SingularDiscretization(f"non-finite transition matrix: {self.w}")
         if self.d2w_dtheta2 is not None:
             d2 = self.d2w_dtheta2
-            if not np.array_equal(d2, np.swapaxes(d2, 2, 3)):
+            if not (d2 == np.swapaxes(d2, -2, -1)).all():
                 raise ValueError("d2W must be symmetric in its theta indices")
 
     @property
     def dim_x(self) -> int:
-        return self.w.shape[0]
+        return self.w.shape[-2]
 
     @property
     def dim_z(self) -> int:
-        return self.w.shape[1]
+        return self.w.shape[-1]
 
 
 def discretize(model: ContinuousModel, theta: ParamVector, dt: float) -> DiscreteTransition:
@@ -188,71 +190,91 @@ def _discretize_values(model: ContinuousModel, values: np.ndarray, dt: float) ->
     return DiscreteTransition(w, dw, None, dt)
 
 
-def _dab_w(values: np.ndarray, dt: float) -> np.ndarray:
-    lk, rl, n = values
-    den = lk + rl * dt
-    return np.array([[lk, dt, -n * dt]]) / den
+def _pow(x, k: int):
+    """x**k rounded as C pow rounds it, for a float or an array; numpy's `**`
+    on arrays rounds squares and cubes differently."""
+    return x**k if isinstance(x, float) else np.float_power(x, k)
 
 
-def _dab_dw(values: np.ndarray, dt: float) -> np.ndarray:
-    lk, rl, n = values
+def _dab_tensors(lk, rl, n, dt: float):
+    """W (1,3), dW (1,3,3) and d2W (1,3,3,3) at one theta given as floats, or
+    with a leading batch axis given as arrays of B values each. Both run the
+    same expressions, so a row of a block equals its theta alone bit for bit.
+    """
     den = lk + rl * dt
-    m = np.array(
-        [
-            [rl, -lk, 0.0],
-            [-1.0, -dt, 0.0],
-            [n, n * dt, -den],
-        ]
+    d2 = _pow(den, 2)
+    d3 = _pow(den, 3)
+    s = dt / d2
+    zero = 0.0 * den
+    w = [lk / den, dt / den, -n * dt / den]
+    # dW[z, i] = dt / den^2 * m[z][i], m = [[R_L, -L_k, 0], [-1, -dt, 0], [n, n dt, -den]]
+    dw = [s * rl, s * -lk, zero, -s, s * -dt, zero, s * n, s * (n * dt), s * -den]
+    # d2W[z, i, j], symmetric in (i, j)
+    w1_01 = dt * (lk - rl * dt) / d3
+    w2_01 = 2 * dt**2 / d3
+    w3_01 = -2 * n * dt**2 / d3
+    w3_02 = dt / d2
+    w3_12 = dt**2 / d2
+    d2w = [
+        # w1 = L_k / den
+        -2 * rl * dt / d3, w1_01, zero,
+        w1_01, 2 * lk * dt**2 / d3, zero,
+        zero, zero, zero,
+        # w2 = dt / den
+        2 * dt / d3, w2_01, zero,
+        w2_01, 2 * dt**3 / d3, zero,
+        zero, zero, zero,
+        # w3 = -n dt / den
+        -2 * n * dt / d3, w3_01, w3_02,
+        w3_01, zero, w3_12,
+        w3_02, w3_12, zero,
+    ]
+    batch = np.shape(den)
+    return tuple(
+        np.array(entries).T.reshape(*batch, *shape)
+        for entries, shape in ((w, (1, 3)), (dw, (1, 3, 3)), (d2w, (1, 3, 3, 3)))
     )
-    return (dt / den**2 * m)[np.newaxis, :, :]
 
 
-def _dab_d2w(values: np.ndarray, dt: float) -> np.ndarray:
-    lk, rl, n = values
-    den = lk + rl * dt
-    d2 = den**2
-    d3 = den**3
-    out = np.zeros((1, 3, 3, 3))
-    # w1 = lk / den
-    out[0, 0, 0, 0] = -2 * rl * dt / d3
-    out[0, 0, 0, 1] = out[0, 0, 1, 0] = dt * (lk - rl * dt) / d3
-    out[0, 0, 1, 1] = 2 * lk * dt**2 / d3
-    # w2 = dt / den
-    out[0, 1, 0, 0] = 2 * dt / d3
-    out[0, 1, 0, 1] = out[0, 1, 1, 0] = 2 * dt**2 / d3
-    out[0, 1, 1, 1] = 2 * dt**3 / d3
-    # w3 = -n dt / den
-    out[0, 2, 0, 0] = -2 * n * dt / d3
-    out[0, 2, 0, 1] = out[0, 2, 1, 0] = -2 * n * dt**2 / d3
-    out[0, 2, 0, 2] = out[0, 2, 2, 0] = dt / d2
-    out[0, 2, 1, 2] = out[0, 2, 2, 1] = dt**2 / d2
-    return out
-
-
-def dab_transition(theta: ParamVector, dt: float) -> DiscreteTransition:
+def dab_transition(
+    theta: ParamVector | np.ndarray, dt: float, box: Optional[ParamVector] = None
+) -> DiscreteTransition:
     """Closed-form DAB transition row W = [L_k, dt, -n*dt] / (L_k + R_L*dt).
 
-    Both derivative tensors are analytic; the finite-difference tests pin
-    them against the generic route and against numeric differentiation.
+    theta is a ParamVector, checked against its own box, or raw values of
+    shape (3,) or (B, 3), checked against `box` (default: the reference
+    box). The box, finiteness and `L_k + R_L*dt > 0` checks run once for the
+    whole block, and a block's tensors carry a leading axis of length B,
+    each row equal to the single-theta result. Both derivative tensors are
+    analytic; the finite-difference tests pin them against the generic
+    route and against numeric differentiation.
     """
+    if isinstance(theta, ParamVector):
+        values, box = theta.values, theta
+    else:
+        values = np.asarray(theta, dtype=float)
+        box = dab_params() if box is None else box
     if dt <= 0:
         raise SingularDiscretization(f"dt must be positive, got {dt}")
-    if not theta.contains(theta.values):
-        raise OutOfBounds(f"theta {theta.values} outside its box")
-    lk, rl, _ = theta.values
-    if lk + rl * dt <= 0:
-        raise SingularDiscretization(f"L_k + R_L*dt = {lk + rl * dt} must be positive")
-    return DiscreteTransition(
-        _dab_w(theta.values, dt),
-        _dab_dw(theta.values, dt),
-        _dab_d2w(theta.values, dt),
-        dt,
-    )
+    if values.ndim not in (1, 2) or values.shape[-1] != len(DAB_NAMES):
+        raise OutOfBounds(f"theta must have shape (3,) or (B, 3), got {values.shape}")
+    # A NaN compares false, so the box check also rejects non-finite values.
+    inside = (values >= box.lower) & (values <= box.upper)
+    if not inside.all():
+        bad = values if values.ndim == 1 else values[~inside.all(axis=1)][0]
+        raise OutOfBounds(f"theta {bad} outside box [{box.lower}, {box.upper}]")
+    # One theta runs on Python floats, whose arithmetic is cheaper than numpy's.
+    lk, rl, n = values.tolist() if values.ndim == 1 else values.T
+    den = lk + rl * dt
+    if np.min(den) <= 0:
+        raise SingularDiscretization(f"L_k + R_L*dt = {np.min(den)} must be positive")
+    return DiscreteTransition(*_dab_tensors(lk, rl, n, dt), dt)
 
 
 def dab_model(box: Optional[ParamVector] = None) -> ContinuousModel:
     """The scalar DAB model di/dt = (-R_L*i + v_p - n*v_s) / L_k. Its closed
-    form checks each theta against `box` (default: the reference box)."""
+    form checks each theta, or block of thetas, against `box` (default: the
+    reference box)."""
     box = dab_params() if box is None else box
 
     def a_of(v: np.ndarray) -> np.ndarray:
@@ -286,17 +308,23 @@ def dab_model(box: Optional[ParamVector] = None) -> ContinuousModel:
         b_of=b_of,
         da_dtheta=da,
         db_dtheta=db,
-        closed_form=lambda values, dt: dab_transition(box.with_values(values), dt),
+        closed_form=lambda values, dt: dab_transition(values, dt, box),
     )
 
 
 def transition_values(model: ContinuousModel, values: np.ndarray, dt: float) -> DiscreteTransition:
     """Transition with the richest derivative information the model offers,
-    for raw parameter values (box handling is the closed form's business; the
-    generic route does not need a box)."""
+    for raw parameter values of shape (D_theta,) or a (B, D_theta) block (box
+    handling is the closed form's business; the generic route does not need
+    a box and solves a block one theta at a time)."""
+    values = np.asarray(values, dtype=float)
     if model.closed_form is not None:
-        return model.closed_form(np.asarray(values, dtype=float), dt)
-    return _discretize_values(model, values, dt)
+        return model.closed_form(values, dt)
+    if values.ndim < 2:
+        return _discretize_values(model, values, dt)
+    rows = [_discretize_values(model, v, dt) for v in values]
+    dw = None if rows[0].dw_dtheta is None else np.stack([r.dw_dtheta for r in rows])
+    return DiscreteTransition(np.stack([r.w for r in rows]), dw, None, dt)
 
 
 def neumann_bound(

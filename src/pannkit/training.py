@@ -113,50 +113,86 @@ class TrainingTrace:
         return np.array([r.theta for r in self.records])
 
 
-def _residuals(values: np.ndarray, dataset: WaveformDataset, model: ContinuousModel, dt: float):
-    z, x = dataset.stacked()
-    if z.shape[1] == 0:
-        raise EmptyDataset("dataset has no steps")
+@dataclass(frozen=True)
+class LossStatistics:
+    """The loss as a quadratic in the transition row, from the residual at a
+    reference theta: with Z the stacked inputs (K steps), r_ref = W_ref Z - X
+    and dW = W - W_ref,
+
+        f = 1/2 (dW G dW^T + 2 dW c + s),  G = Z Z^T / K,
+        c = Z r_ref^T / K,  s = mean over steps of ||r_ref||^2.
+
+    loss, gradient and hessian take the transition at one theta or at a
+    block of thetas and cost O(D^2) per theta, whatever K. Shifting around
+    the reference keeps f free of cancellation near it; at the reference
+    itself (dW = 0) f is exactly s / 2.
+    """
+
+    w_ref: np.ndarray
+    gram: np.ndarray
+    cross: np.ndarray
+    mean_sq: float
+
+    @classmethod
+    def of(cls, dataset: WaveformDataset, w_ref: np.ndarray) -> "LossStatistics":
+        z, x = dataset.stacked()
+        k = z.shape[1]
+        if k == 0:
+            raise EmptyDataset("dataset has no steps")
+        r = w_ref @ z - x
+        return cls(w_ref, dataset.gram(), z @ r.T / k, float(np.sum(r * r)) / k)
+
+    def _slope(self, trans: DiscreteTransition) -> np.ndarray:
+        """df/dW = dW G + c^T, per theta."""
+        return (trans.w - self.w_ref) @ self.gram + self.cross.T
+
+    def loss(self, trans: DiscreteTransition):
+        d = trans.w - self.w_ref
+        quad_and_lin = ((d @ self.gram + 2.0 * self.cross.T) * d).sum(axis=(-2, -1))
+        return 0.5 * (quad_and_lin + self.mean_sq)
+
+    def gradient(self, trans: DiscreteTransition) -> np.ndarray:
+        if trans.dw_dtheta is None:
+            raise MissingDerivatives("model provides no dW/dtheta tensor")
+        return np.einsum("...xz,...xzi->...i", self._slope(trans), trans.dw_dtheta)
+
+    def hessian(self, trans: DiscreteTransition) -> np.ndarray:
+        """Gauss-Newton term plus the residual-weighted curvature term."""
+        dw, d2w = trans.dw_dtheta, trans.d2w_dtheta2
+        if dw is None or d2w is None:
+            raise MissingDerivatives("model provides no dW/d2W tensors")
+        gauss_newton = np.einsum("...xzi,zy,...xyj->...ij", dw, self.gram, dw)
+        curvature = np.einsum("...xz,...xzij->...ij", self._slope(trans), d2w)
+        h = gauss_newton + curvature
+        return 0.5 * (h + np.swapaxes(h, -2, -1))
+
+
+def _at(values: np.ndarray, dataset: WaveformDataset, model: ContinuousModel, dt: float):
+    """The transition at theta and the loss statistics referenced there."""
     trans = transition_values(model, values, dt)
-    return trans, z, (trans.w @ z - x)
-
-
-# The residual -> (loss, gradient) kernel shared by loss, gradient and adam_train.
-
-def _mean_half_square(r: np.ndarray) -> float:
-    return 0.5 * float(np.sum(r * r)) / r.shape[1]
-
-
-def _mean_gradient(trans: DiscreteTransition, z: np.ndarray, r: np.ndarray) -> np.ndarray:
-    if trans.dw_dtheta is None:
-        raise MissingDerivatives("model provides no dW/dtheta tensor")
-    return np.einsum("xk,xzi,zk->i", r, trans.dw_dtheta, z) / r.shape[1]
+    return trans, LossStatistics.of(dataset, trans.w)
 
 
 def loss(theta: ParamVector, dataset: WaveformDataset, model: ContinuousModel, dt: float) -> float:
     """Mean over steps of 0.5 ||x_hat - x*||^2 (teacher-forced)."""
-    return _mean_half_square(_residuals(theta.values, dataset, model, dt)[2])
+    trans, stats = _at(theta.values, dataset, model, dt)
+    return float(stats.loss(trans))
 
 
 def gradient(
     theta: ParamVector, dataset: WaveformDataset, model: ContinuousModel, dt: float
 ) -> np.ndarray:
     """Mean over steps of (x_hat - x*)^T (dW/dtheta_i z) per component."""
-    return _mean_gradient(*_residuals(theta.values, dataset, model, dt))
+    trans, stats = _at(theta.values, dataset, model, dt)
+    return stats.gradient(trans)
 
 
 def hessian(
     theta: ParamVector, dataset: WaveformDataset, model: ContinuousModel, dt: float
 ) -> np.ndarray:
     """Gauss-Newton term plus the residual-weighted curvature term."""
-    trans, z, r = _residuals(theta.values, dataset, model, dt)
-    if trans.dw_dtheta is None or trans.d2w_dtheta2 is None:
-        raise MissingDerivatives("model provides no dW/d2W tensors")
-    k = r.shape[1]
-    jz = np.einsum("xzi,zk->xik", trans.dw_dtheta, z)
-    term1 = np.einsum("xik,xjk->ij", jz, jz) / k
-    term2 = np.einsum("xk,xzij,zk->ij", r, trans.d2w_dtheta2, z) / k
-    return term1 + term2
+    trans, stats = _at(theta.values, dataset, model, dt)
+    return stats.hessian(trans)
 
 
 def lipschitz_aware_rates(
@@ -217,9 +253,9 @@ def adam_train(
     failed = False
     reason = ""
     for t in range(1, config.max_epochs + 1):
-        trans, z, r = _residuals(th, dataset, model, dt)
-        f = _mean_half_square(r)
-        g = _mean_gradient(trans, z, r)
+        trans, stats = _at(th, dataset, model, dt)
+        f = float(stats.loss(trans))
+        g = stats.gradient(trans)
         if not (np.isfinite(f) and np.all(np.isfinite(g))):
             failed = True
             reason = f"non-finite loss/gradient at epoch {t}"

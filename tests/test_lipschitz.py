@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 import pannkit as pk
 from pannkit.errors import BoundViolation, DegenerateDomain, MissingDerivatives
 from pannkit.lipschitz import LipschitzReport, dab_l1z_values, sample_thetas, theorem2_monitor
-from pannkit.norms import NormKind, dw_norm, vec_norm
+from pannkit.norms import NormKind, d2w_norm, dw_norm, mat_norm, vec_norm
 from pannkit.statespace import DiscreteTransition
 from pannkit.training import EpochRecord, TrainingTrace, gradient, hessian
 
@@ -99,13 +99,30 @@ def test_mc_estimate_is_seeded_and_prefix_monotone(star):
     sampler = pk.BoxSampler(-np.ones(3), np.ones(3))
     f = lambda z: trans.w @ z
 
-    r1 = pk.mc_estimate_lipschitz(f, sampler, n_samples=500, seed=42)
-    r2 = pk.mc_estimate_lipschitz(f, sampler, n_samples=500, seed=42)
-    assert r1.empirical_max == r2.empirical_max, "same seed must reproduce the max"
-    r_long = pk.mc_estimate_lipschitz(f, sampler, n_samples=1500, seed=42)
-    assert r_long.empirical_max >= r1.empirical_max, (
-        "extending the sample run can only raise the running max"
-    )
+    # 700 -> 1100 extends a prefix that ends inside the second 512-pair block
+    for n_short, n_long in ((500, 1500), (700, 1100)):
+        r1 = pk.mc_estimate_lipschitz(f, sampler, n_samples=n_short, seed=42)
+        r2 = pk.mc_estimate_lipschitz(f, sampler, n_samples=n_short, seed=42)
+        assert r1.empirical_max == r2.empirical_max, "same seed must reproduce the max"
+        r_long = pk.mc_estimate_lipschitz(f, sampler, n_samples=n_long, seed=42)
+        assert r_long.empirical_max >= r1.empirical_max, (
+            "extending the sample run can only raise the running max"
+        )
+
+
+@pytest.mark.parametrize("pairing", ["mixed", "random", "local"])
+@pytest.mark.parametrize("kind", [NormKind.INFINITY, NormKind.TWO])
+def test_mc_batched_and_per_point_maps_give_identical_reports(star, pairing, kind):
+    w = pk.dab_transition(star, DT).w[0]
+
+    def f(z):  # elementwise, so one point and a block round alike
+        return (w[0] * z[..., 0] + w[1] * z[..., 1] + w[2] * z[..., 2])[..., None]
+
+    sampler = pk.BoxSampler(-np.array([30.0, 200.0, 200.0]), np.array([30.0, 200.0, 200.0]))
+    kw = dict(pairing=pairing, n_samples=1100, seed=9, kind=kind)
+    per_point = pk.mc_estimate_lipschitz(f, sampler, **kw).to_dict()
+    batched = pk.mc_estimate_lipschitz(f, sampler, batched=True, **kw).to_dict()
+    assert per_point == batched
 
 
 def test_mc_estimate_rejects_degenerate_setups():
@@ -159,6 +176,37 @@ def test_sample_thetas_collapsed_returns_star(box_domain):
     samples = sample_thetas(collapsed, 10, seed=0)
     assert samples.shape == (1, 3)
     assert np.array_equal(samples[0], box_domain.theta_star)
+
+
+def scalar_loop_sup(domain, model, kind, n_samples, seed, term):
+    """The suprema's reference: one transition and one set of norms per theta."""
+    w_star = pk.transition_values(model, domain.theta_star, DT).w
+    zn2 = vec_norm(domain.z_bound, kind) ** 2
+    best = 0.0
+    for values in sample_thetas(domain, n_samples, seed):
+        trans = pk.transition_values(model, values, DT)
+        best = max(best, term(mat_norm(trans.w - w_star, kind), zn2, trans, kind))
+    return best
+
+
+def l1theta_term(gap, zn2, trans, kind):
+    return gap * zn2 * dw_norm(trans.dw_dtheta, kind)
+
+
+def l2theta_term(gap, zn2, trans, kind):
+    return zn2 * dw_norm(trans.dw_dtheta, kind) ** 2 + gap * zn2 * d2w_norm(
+        trans.d2w_dtheta2, kind
+    )
+
+
+@pytest.mark.parametrize("kind", [NormKind.INFINITY, NormKind.TWO])
+def test_batched_suprema_equal_the_scalar_loop(box_domain, model, kind):
+    for domain in (box_domain, box_domain.collapsed()):
+        for fn, term in (
+            (pk.theoretical_L1theta, l1theta_term), (pk.theoretical_L2theta, l2theta_term)
+        ):
+            want = scalar_loop_sup(domain, model, kind, 1100, 4, term)
+            assert fn(domain, model, DT, kind, n_samples=1100, seed=4) == want
 
 
 def test_l1theta_vanishes_on_collapsed_domain(box_domain, model):

@@ -138,6 +138,64 @@ def test_dab_model_checks_theta_against_its_box(star):
         pk.transition_values(pk.dab_model(wide), [4e-6, 1.8, 1.0], DT)
 
 
+def box_block(star, n, seed):
+    """n random thetas in the reference box followed by its eight corners."""
+    rng = np.random.default_rng(seed)
+    corners = np.array(np.meshgrid(*zip(star.lower, star.upper))).reshape(3, -1).T
+    return np.vstack([rng.uniform(star.lower, star.upper, size=(n, 3)), corners])
+
+
+def test_batched_transition_equals_stacked_scalar_calls(star, model):
+    block = box_block(star, 200, seed=557)
+    batched = pk.dab_transition(block, DT)
+    assert batched.w.shape == (208, 1, 3)
+    assert batched.dw_dtheta.shape == (208, 1, 3, 3)
+    assert batched.d2w_dtheta2.shape == (208, 1, 3, 3, 3)
+    via_model = pk.transition_values(model, block, DT)
+    for i, values in enumerate(block):
+        one = pk.dab_transition(star.with_values(values), DT)
+        for got, via, want in (
+            (batched.w, via_model.w, one.w),
+            (batched.dw_dtheta, via_model.dw_dtheta, one.dw_dtheta),
+            (batched.d2w_dtheta2, via_model.d2w_dtheta2, one.d2w_dtheta2),
+        ):
+            assert got[i].tobytes() == want.tobytes() == via[i].tobytes(), f"row {i}"
+
+
+def test_batched_transition_rejects_a_block_with_one_bad_theta(star):
+    block = box_block(star, 20, seed=558)
+    block[7] = [300e-6, 1.8, 1.0]
+    with pytest.raises(OutOfBounds):
+        pk.dab_transition(block, DT)
+    block[7] = [63e-6, np.nan, 1.0]
+    with pytest.raises(OutOfBounds):
+        pk.transition_values(pk.dab_model(), block, DT)
+    # a box admitting R_L < 0, where L_k + R_L*dt reaches 0 at R_L = -L_k/dt
+    box = pk.ParamVector(star.values, [10e-6, -1000.0, 0.8], star.upper, star.names)
+    block = box_block(star, 20, seed=559)
+    assert pk.transition_values(pk.dab_model(box), block, DT).w.shape == (28, 1, 3)
+    block[3] = [10e-6, -10e-6 / DT, 1.0]
+    with pytest.raises(SingularDiscretization):
+        pk.transition_values(pk.dab_model(box), block, DT)
+    block[3] = [10e-6, -200.0, 1.0]
+    with pytest.raises(SingularDiscretization):
+        pk.dab_transition(block, DT, box)
+
+
+def test_generic_route_solves_a_block_row_by_row(star, model):
+    block = box_block(star, 10, seed=560)
+    generic = pk.ContinuousModel(
+        dim_x=1, dim_u=2, dim_theta=3, a_of=model.a_of, b_of=model.b_of,
+        da_dtheta=model.da_dtheta, db_dtheta=model.db_dtheta,
+    )
+    batched = pk.transition_values(generic, block, DT)
+    for i, values in enumerate(block):
+        one = discretize(generic, star.with_values(values), DT)
+        assert np.array_equal(batched.w[i], one.w)
+        assert np.array_equal(batched.dw_dtheta[i], one.dw_dtheta)
+    assert batched.d2w_dtheta2 is None
+
+
 def test_dw_matches_numeric_derivative(star, ranges):
     rng = np.random.default_rng(555)
     for _ in range(20):

@@ -10,6 +10,7 @@ from pannkit.statespace import DAB_LOWER, DAB_NAMES, DAB_THETA_STAR, DAB_UPPER
 from pannkit.training import (
     AdamConfig,
     EpochRecord,
+    LossStatistics,
     TrainingTrace,
     adam_train,
     gradient,
@@ -136,6 +137,52 @@ def test_hessian_is_psd_at_the_optimum(star, model, train_dataset):
     assert np.all(eigs >= -1e-9 * np.max(np.abs(eigs))), (
         f"curvature at the optimum must be PSD, eigenvalues {eigs}"
     )
+
+
+def test_kernel_matches_per_theta_loss_gradient_and_hessian(star, model, train_dataset):
+    """Statistics referenced at theta* give a block of losses, gradients and
+    Hessians that match the per-theta paths, which reference each theta itself."""
+    stats = LossStatistics.of(train_dataset, pk.dab_transition(star, DT).w)
+    thetas = np.random.default_rng(40).uniform(star.lower, star.upper, size=(300, 3))
+    block = pk.transition_values(model, thetas, DT)
+    f, g, h = stats.loss(block), stats.gradient(block), stats.hessian(block)
+    assert f.shape == (300,) and g.shape == (300, 3) and h.shape == (300, 3, 3)
+    for i, values in enumerate(thetas):
+        theta = star.with_values(values)
+        f_i = loss(theta, train_dataset, model, DT)
+        g_i = gradient(theta, train_dataset, model, DT)
+        h_i = hessian(theta, train_dataset, model, DT)
+        assert abs(f[i] - f_i) <= 1e-12 * f_i, f"loss at {values}"
+        assert np.max(np.abs(g[i] - g_i)) <= 1e-12 * np.max(np.abs(g_i)), f"gradient at {values}"
+        assert np.max(np.abs(h[i] - h_i)) <= 1e-12 * np.max(np.abs(h_i)), f"Hessian at {values}"
+        assert np.array_equal(h[i], h[i].T)
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).precision <= np.finfo(float).precision,
+    reason="long double is no wider than double here",
+)
+@pytest.mark.parametrize("offset", [1e-3, 1e-7])
+def test_losses_near_the_optimum_match_a_long_double_reference(star, model, train_dataset, offset):
+    """Within `offset` of each range around theta*, the losses (1e-18 to 1e-6
+    here) err by under 1e-6 relative in both the kernel and the per-theta
+    path (measured), far more than the 1e-12 the two agree to elsewhere; the
+    reference recomputes W and the residual in long double from the same
+    float data."""
+    z, x = train_dataset.stacked()
+    stats = LossStatistics.of(train_dataset, pk.dab_transition(star, DT).w)
+    rng = np.random.default_rng(41)
+    thetas = star.values + rng.uniform(-offset, offset, size=(100, 3)) * star.ranges
+    kernel = stats.loss(pk.transition_values(model, thetas, DT))
+    for i, values in enumerate(thetas):
+        lk, rl, n = values.astype(np.longdouble)
+        dt = np.longdouble(DT)
+        w = np.array([lk, dt, -n * dt]) / (lk + rl * dt)
+        r = w @ z.astype(np.longdouble) - x[0]
+        ref = np.sum(r * r) / (2 * z.shape[1])
+        direct = loss(star.with_values(values), train_dataset, model, DT)
+        assert abs(kernel[i] - ref) <= 1e-4 * ref, f"kernel {kernel[i]!r} vs {ref!r}"
+        assert abs(direct - ref) <= 1e-4 * ref, f"per-theta {direct!r} vs {ref!r}"
 
 
 def test_rates_formula_and_clamp():
