@@ -5,7 +5,8 @@ Layers, bottom up:
 
 - statespace: continuous models, parameter boxes, implicit-Euler transitions
 - pann: single-step map, free and teacher-forced rollouts, settling
-- signals: dual-bridge modulation, dataset synthesis and disk round-trip
+- signals: dual-bridge modulation, dataset synthesis and disk round-trip,
+  the CSV and JSON artifact writers
 - lipschitz: theoretical constants, MC estimators, in-training monitor
 - training: loss/gradient/hessian, bound-derived rates, Adam, regret
 - cli: experiment runner (`pannkit` console script)

@@ -49,6 +49,8 @@ from .signals import (
     save_dataset,
     step_inputs_one_period,
     synthesize_dataset,
+    write_csv,
+    write_json,
 )
 from .statespace import DAB_NAMES, ParamVector, dab_model, transition_values
 from .training import (
@@ -203,39 +205,41 @@ class ExperimentConfig:
 
 
 def load_config(path: Optional[str]) -> ExperimentConfig:
+    """The config at path (None: the defaults). A file that cannot be read,
+    is not UTF-8 or UTF-16 YAML, or is malformed raises ConfigError."""
     if path is None:
         return ExperimentConfig(default_config())
     p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file not found: {p}")
-    with open(p) as fh:
-        try:
-            raw = yaml.safe_load(fh) or {}
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"config is not valid YAML: {exc}") from exc
+    try:
+        raw = yaml.safe_load(p.read_bytes()) or {}
+    except FileNotFoundError as exc:
+        raise ConfigError(f"config file not found: {p}") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {p}: {exc.strerror}") from exc
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"config {p} is not valid YAML: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
     return ExperimentConfig(raw)
 
 
-def _resolve_out(arg_out: Optional[str]) -> Path:
-    if arg_out:
-        return Path(arg_out)
-    env = os.environ.get(OUT_ENV_VAR)
-    return Path(env) if env else Path("pannkit-out")
+def _output_root(args: argparse.Namespace) -> Optional[Path]:
+    """The output directory, created: --out, else $PANNKIT_OUT, else
+    ./pannkit-out. `defaults` writes only to --out, else to stdout (None)."""
+    out = args.out
+    if not out and args.command != "defaults":
+        out = os.environ.get(OUT_ENV_VAR) or "pannkit-out"
+    if not out:
+        return None
+    try:
+        Path(out).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc.strerror}") from exc
+    return Path(out)
 
 
-def _echo_config(config: ExperimentConfig, out: Path) -> None:
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "config.yaml", "w") as fh:
-        yaml.safe_dump(config.to_dict(), fh, sort_keys=True)
-
-
-def _write_json(data: dict, path: Path) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _config_yaml(config: ExperimentConfig) -> str:
+    return yaml.safe_dump(config.to_dict(), sort_keys=True)
 
 
 def _save_datasets(datasets: Dict[str, WaveformDataset], out: Path, seed: int) -> List[Path]:
@@ -278,32 +282,23 @@ def synth_role(config: ExperimentConfig, role: str) -> WaveformDataset:
     )
 
 
-def cmd_defaults(args: argparse.Namespace) -> int:
-    text = yaml.safe_dump(default_config(), sort_keys=True)
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "config.yaml").write_text(text)
-        print(f"wrote {out / 'config.yaml'}")
+def cmd_defaults(config: ExperimentConfig, out: Optional[Path], args: argparse.Namespace) -> int:
+    if out is None:
+        sys.stdout.write(_config_yaml(config))
     else:
-        sys.stdout.write(text)
+        print(f"wrote {out / 'config.yaml'}")
     return 0
 
 
-def cmd_synth(args: argparse.Namespace) -> int:
-    config = _apply_overrides(load_config(args.config), args)
-    out = _resolve_out(args.out)
+def cmd_synth(config: ExperimentConfig, out: Path, args: argparse.Namespace) -> int:
     datasets = {role: synth_role(config, role) for role in _ROLES}
     _save_datasets(datasets, out, config.seed)
     for role in _ROLES:
         print(f"{role}: {len(datasets[role].segments)} segments, {datasets[role].n_steps} steps")
-    _echo_config(config, out)
     return 0
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    config = _apply_overrides(load_config(args.config), args)
-    out = _resolve_out(args.out)
+def cmd_simulate(config: ExperimentConfig, out: Path, args: argparse.Namespace) -> int:
     spec = config.spec
     theta = config.star
     if args.theta:
@@ -315,30 +310,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     trans = transition_values(config.model, theta.values, spec.dt)
     settled = settle_to_steady_state(trans, step_inputs_one_period(spec))
     traj = settled.trajectory
-    out.mkdir(parents=True, exist_ok=True)
-    _write_trajectory_csv(traj, out / "trajectory.csv")
-    _echo_config(config, out)
+    write_csv(
+        out / "trajectory.csv",
+        ["time", "i_L", "v_p", "v_s"],
+        [traj.times[1:], *traj.states[:, 1:], *traj.inputs],
+    )
     print(
         f"settled={settled.converged} cycles={settled.cycles} "
         f"residual={settled.residual:.3g} samples={traj.inputs.shape[1]}"
     )
     return 0
-
-
-def _write_trajectory_csv(traj, path: Path) -> None:
-    import csv as _csv
-
-    with open(path, "w", newline="") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(["time", "i_L", "v_p", "v_s"])
-        for k in range(traj.inputs.shape[1]):
-            writer.writerow(
-                [
-                    "{:.17g}".format(traj.times[k + 1]),
-                    *("{:.17g}".format(v) for v in traj.states[:, k + 1]),
-                    *("{:.17g}".format(v) for v in traj.inputs[:, k]),
-                ]
-            )
 
 
 def compute_lipschitz_reports(
@@ -347,12 +328,12 @@ def compute_lipschitz_reports(
     """The three bound-vs-MC reports. L1z under the infinity norm (where the
     theoretical value is exactly attainable); the loss and gradient constants
     under the 2-norm (where pair ratios are provably dominated)."""
-    model = config.model
-    dt = config.spec.dt
+    model, dt = config.model, config.spec.dt
     star, mc = config.star, config.mc
     z_bound = train_dataset.z_bounds()
     trans_star = transition_values(model, star.values, dt)
     domain = DomainSpec(star.lower, star.upper, z_bound, star.values)
+    ginf, l2theta_star = _rate_constants(config, domain)
 
     w = trans_star.w
     # The loss and gradient maps evaluate blocks of thetas from statistics
@@ -381,9 +362,6 @@ def compute_lipschitz_reports(
     l1t_two = theoretical_L1theta(
         domain, model, dt, NormKind.TWO, n_samples=mc["n_theta_samples"], seed=config.seed
     )
-    l1t_inf = theoretical_L1theta(
-        domain, model, dt, NormKind.INFINITY, n_samples=mc["n_theta_samples"], seed=config.seed
-    )
     l1theta_report = mc_estimate_lipschitz(
         loss_map,
         BoxSampler(star.lower, star.upper),
@@ -393,7 +371,7 @@ def compute_lipschitz_reports(
         kind=NormKind.TWO,
         theoretical=l1t_two,
         constant_name="L1theta",
-        extras={"ginf_theoretical": l1t_inf},
+        extras={"ginf_theoretical": ginf},
         batched=True,
     )
 
@@ -402,9 +380,6 @@ def compute_lipschitz_reports(
 
     l2t_two = theoretical_L2theta(
         domain, model, dt, NormKind.TWO, n_samples=mc["n_theta_samples"], seed=config.seed
-    )
-    l2t_star_inf = theoretical_L2theta(
-        domain.collapsed(), model, dt, NormKind.INFINITY
     )
     l2theta_report = mc_estimate_lipschitz(
         grad_map,
@@ -415,26 +390,38 @@ def compute_lipschitz_reports(
         kind=NormKind.TWO,
         theoretical=l2t_two,
         constant_name="L2theta",
-        extras={"l2theta_star_infinity": l2t_star_inf},
+        extras={"l2theta_star_infinity": l2theta_star},
         batched=True,
     )
     return {"L1z": l1z_report, "L1theta": l1theta_report, "L2theta": l2theta_report}
 
 
-def cmd_lipschitz(args: argparse.Namespace) -> int:
-    config = _apply_overrides(load_config(args.config), args)
-    out = _resolve_out(args.out)
-    train_dataset = synth_role(config, "train")
-    reports = compute_lipschitz_reports(config, train_dataset)
-    rep_dir = out / "lipschitz"
-    rep_dir.mkdir(parents=True, exist_ok=True)
+def _rate_constants(config: ExperimentConfig, domain: DomainSpec) -> Tuple[float, float]:
+    """The rates' two constants: G_inf, the L1theta supremum over the box,
+    and L2theta*, the L2theta supremum at theta*, both under the infinity norm."""
+    model, dt = config.model, config.spec.dt
+    ginf = theoretical_L1theta(
+        domain, model, dt, NormKind.INFINITY,
+        n_samples=config.mc["n_theta_samples"], seed=config.seed,
+    )
+    return ginf, theoretical_L2theta(domain.collapsed(), model, dt, NormKind.INFINITY)
+
+
+def _save_reports(reports: Dict[str, LipschitzReport], out: Path) -> List[Path]:
+    paths = [out / "lipschitz" / f"{name}.json" for name in reports]
+    for report, path in zip(reports.values(), paths):
+        report.save(path)
+    return paths
+
+
+def cmd_lipschitz(config: ExperimentConfig, out: Path, args: argparse.Namespace) -> int:
+    reports = compute_lipschitz_reports(config, synth_role(config, "train"))
+    _save_reports(reports, out)
     for name, report in reports.items():
-        report.save(rep_dir / f"{name}.json")
         print(
             f"{name} ({report.norm.value}): theoretical {report.theoretical:.9g}, "
             f"empirical {report.empirical_max:.9g}"
         )
-    _echo_config(config, out)
     return 0
 
 
@@ -445,23 +432,14 @@ def run_strategy_sweep(
 ) -> Tuple[dict, Dict[str, dict]]:
     """Train every configured strategy; returns (comparison, per-strategy
     summaries). Rates come live from the Lipschitz calculators."""
-    model = config.model
-    dt = config.spec.dt
+    model, dt = config.model, config.spec.dt
     star = config.star
-    z_bound = train_dataset.z_bounds()
-    domain = DomainSpec(star.lower, star.upper, z_bound, star.values)
-    reports = reports or {}
-    if "L1theta" in reports and "ginf_theoretical" in reports["L1theta"].extras:
+    if reports:
         ginf = reports["L1theta"].extras["ginf_theoretical"]
-    else:
-        ginf = theoretical_L1theta(
-            domain, model, dt, NormKind.INFINITY,
-            n_samples=config.mc["n_theta_samples"], seed=config.seed,
-        )
-    if "L2theta" in reports and "l2theta_star_infinity" in reports["L2theta"].extras:
         l2theta_star = reports["L2theta"].extras["l2theta_star_infinity"]
     else:
-        l2theta_star = theoretical_L2theta(domain.collapsed(), model, dt, NormKind.INFINITY)
+        domain = DomainSpec(star.lower, star.upper, train_dataset.z_bounds(), star.values)
+        ginf, l2theta_star = _rate_constants(config, domain)
 
     base_rates = lipschitz_aware_rates(
         ginf, star.ranges, l2theta_star,
@@ -541,11 +519,8 @@ def run_strategy_sweep(
     return comparison, summaries
 
 
-def cmd_train(args: argparse.Namespace) -> int:
-    config = _apply_overrides(load_config(args.config), args)
-    out = _resolve_out(args.out)
-    train_dataset = synth_role(config, "train")
-    comparison, summaries = run_strategy_sweep(config, train_dataset)
+def cmd_train(config: ExperimentConfig, out: Path, args: argparse.Namespace) -> int:
+    comparison, summaries = run_strategy_sweep(config, synth_role(config, "train"))
     _persist_sweep(config, out, comparison, summaries)
     for label in config.strategies:
         entry = comparison["strategies"][label]
@@ -557,19 +532,17 @@ def cmd_train(args: argparse.Namespace) -> int:
 def _persist_sweep(
     config, out: Path, comparison: dict, summaries: Dict[str, dict]
 ) -> List[Path]:
-    """Write traces, summaries, the comparison and the config; returns their paths."""
+    """Write traces, summaries and the comparison; returns their paths."""
     train_dir = out / "train"
     written: List[Path] = []
     for label, summary in summaries.items():
         trace = summary.pop("_trace")
         sdir = train_dir / label
-        sdir.mkdir(parents=True, exist_ok=True)
         write_trace_csv(trace, sdir / "trace.csv")
-        _write_json({**summary, "config": config.to_dict()}, sdir / "summary.json")
+        write_json({**summary, "config": config.to_dict()}, sdir / "summary.json")
         written += [sdir / "trace.csv", sdir / "summary.json"]
-    _write_json(comparison, train_dir / "comparison.json")
-    _echo_config(config, out)
-    return written + [train_dir / "comparison.json", out / "config.yaml"]
+    write_json(comparison, train_dir / "comparison.json")
+    return written + [train_dir / "comparison.json"]
 
 
 def _check_sweep(config: ExperimentConfig, comparison: dict, summaries: Dict[str, dict]) -> List[str]:
@@ -633,19 +606,14 @@ def _check_sweep(config: ExperimentConfig, comparison: dict, summaries: Dict[str
     return failures
 
 
-def cmd_reproduce(args: argparse.Namespace) -> int:
-    config = _apply_overrides(load_config(args.config), args)
-    out = _resolve_out(args.out)
+def cmd_reproduce(config: ExperimentConfig, out: Path, args: argparse.Namespace) -> int:
     datasets = {role: synth_role(config, role) for role in _ROLES}
     written = _save_datasets(datasets, out, config.seed)
     reports = compute_lipschitz_reports(config, datasets["train"])
-    rep_dir = out / "lipschitz"
-    rep_dir.mkdir(parents=True, exist_ok=True)
-    for name, report in reports.items():
-        report.save(rep_dir / f"{name}.json")
-        written.append(rep_dir / f"{name}.json")
+    written += _save_reports(reports, out)
     comparison, summaries = run_strategy_sweep(config, datasets["train"], reports)
     written += _persist_sweep(config, out, comparison, summaries)
+    written.append(out / "config.yaml")
 
     check_results = None
     if args.check:
@@ -654,7 +622,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
         if not tight:
             failures.append("L1z MC estimate below 0.99 of the theoretical value")
         check_results = {"failures": failures, "passed": not failures}
-        _write_json(check_results, out / "check.json")
+        write_json(check_results, out / "check.json")
         written.append(out / "check.json")
         for msg in failures:
             print(f"CHECK FAIL: {msg}")
@@ -666,7 +634,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
         "config": config.to_dict(),
         "files": _hash_tree(out, written),
     }
-    _write_json(manifest, out / "manifest.json")
+    write_json(manifest, out / "manifest.json")
     print(f"wrote {out / 'manifest.json'} ({len(manifest['files'])} artifacts)")
     if check_results is not None and not check_results["passed"]:
         return 3
@@ -740,10 +708,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        config = _apply_overrides(load_config(getattr(args, "config", None)), args)
+        out = _output_root(args)
+        if out is not None:
+            (out / "config.yaml").write_text(_config_yaml(config))
+        return args.func(config, out, args)
     except (ConfigError, InvalidSpec, OutOfBounds) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

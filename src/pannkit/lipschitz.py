@@ -39,6 +39,7 @@ from .errors import (
 )
 from .norms import NormKind, d2w_norm, dw_norm, mat_norm, max_entry_norm, vec_norm
 from .rng import DOMAIN_MC, DOMAIN_THETA, substream
+from .signals import write_json
 from .statespace import ContinuousModel, DiscreteTransition, transition_values
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -201,9 +202,7 @@ class LipschitzReport:
         }
 
     def save(self, path: Path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(self.to_dict(), path)
 
     @classmethod
     def load(cls, path: Path) -> "LipschitzReport":

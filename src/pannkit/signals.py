@@ -6,7 +6,7 @@ phase_shift * T_s (phase_shift is a fraction of the FULL period, so 0.5 is a
 half-period shift, i.e. inversion). Datasets are one settled period of
 (z, target) training pairs per operating point; targets satisfy the model
 recurrence exactly, and any measurement noise is applied only to the state
-entries of z.
+entries of z. write_csv and write_json write every CSV and JSON artifact.
 """
 from __future__ import annotations
 
@@ -23,7 +23,8 @@ from .pann import settle_to_steady_state
 from .rng import DOMAIN_NOISE, DOMAIN_PHASES, substream
 from .statespace import DEFAULT_DT, DEFAULT_FS, ParamVector, dab_transition
 
-_FLOAT_FMT = "{:.17g}"
+_SEGMENT_HEADER = ["time", "i_L", "v_p", "v_s", "target"]
+_CSV_BLOCK = 512  # rows write_csv converts at a time, so no table is copied whole
 
 
 @dataclass(frozen=True)
@@ -214,49 +215,48 @@ def synthesize_dataset(
     return WaveformDataset(segments, role=role)
 
 
-def save_dataset(dataset: WaveformDataset, out_dir: Path, seed: int = 0) -> Path:
-    """Write one CSV per segment plus a JSON manifest; returns the manifest path.
+def write_csv(path: Path, header: Sequence[str], columns: Sequence) -> None:
+    """Write one CSV artifact: the header, then row k of the equal-length
+    columns for each k, one row at a time. Integer columns are written as
+    integers and float columns with 17 significant digits, so floats
+    round-trip exactly; rows end in \\r\\n, as csv.writer's do. The parent
+    directory is created."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    cols = [np.asarray(c) for c in columns]
+    row = ",".join("{}" if c.dtype.kind in "iu" else "{:.17g}" for c in cols) + "\r\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, len(cols[0]), _CSV_BLOCK):
+            block = [c[start : start + _CSV_BLOCK].tolist() for c in cols]
+            for values in zip(*block):
+                fh.write(row.format(*values))
 
-    Floats are written with 17 significant digits so a load/save cycle is
-    byte-identical.
-    """
+
+def write_json(data, path: Path) -> None:
+    """Write one JSON artifact, streamed: sorted keys, two-space indent and
+    a final newline. The parent directory is created."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def save_dataset(dataset: WaveformDataset, out_dir: Path, seed: int = 0) -> Path:
+    """Write one CSV per segment plus a JSON manifest; returns the manifest
+    path. A load/save cycle is byte-identical."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = {
-        "schema_version": 1,
-        "role": dataset.role,
-        "seed": seed,
-        "segments": [],
-    }
+    entries = []
     for i, seg in enumerate(dataset.segments):
         name = f"segment_{i:03d}.csv"
-        with open(out_dir / name, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["time", "i_L", "v_p", "v_s", "target"])
-            dt = seg.spec.dt
-            for k in range(seg.z.shape[1]):
-                writer.writerow(
-                    [
-                        _FLOAT_FMT.format(k * dt),
-                        _FLOAT_FMT.format(seg.z[0, k]),
-                        _FLOAT_FMT.format(seg.z[1, k]),
-                        _FLOAT_FMT.format(seg.z[2, k]),
-                        _FLOAT_FMT.format(seg.targets[0, k]),
-                    ]
-                )
-        manifest["segments"].append(
-            {
-                "file": name,
-                "spec": seg.spec.to_dict(),
-                "noise_sigma": seg.noise_sigma,
-                "settled": seg.settled,
-            }
-        )
-    manifest_path = out_dir / "manifest.json"
-    with open(manifest_path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return manifest_path
+        times = np.arange(seg.z.shape[1]) * seg.spec.dt
+        write_csv(out_dir / name, _SEGMENT_HEADER, [times, *seg.z, seg.targets[0]])
+        entries.append({"file": name, "spec": seg.spec.to_dict(),
+                        "noise_sigma": seg.noise_sigma, "settled": seg.settled})
+    manifest = {"schema_version": 1, "role": dataset.role, "seed": seed, "segments": entries}
+    write_json(manifest, out_dir / "manifest.json")
+    return out_dir / "manifest.json"
 
 
 def load_dataset(out_dir: Path) -> WaveformDataset:
@@ -270,7 +270,7 @@ def load_dataset(out_dir: Path) -> WaveformDataset:
         with open(out_dir / entry["file"], newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader)
-            if header != ["time", "i_L", "v_p", "v_s", "target"]:
+            if header != _SEGMENT_HEADER:
                 raise InvalidSpec(f"unexpected segment CSV header: {header}")
             for row in reader:
                 rows.append([float(v) for v in row])

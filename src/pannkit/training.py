@@ -12,7 +12,6 @@ diagnostics track the recorded estimates.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional
@@ -27,10 +26,8 @@ from .errors import (
     MissingDerivatives,
     NonPositiveBound,
 )
-from .signals import WaveformDataset
+from .signals import WaveformDataset, write_csv
 from .statespace import ContinuousModel, DiscreteTransition, ParamVector, transition_values
-
-_FLOAT_FMT = "{:.17g}"
 
 # Rate-scale ladder: multiples of the Lipschitz-aware rates, plus the S6
 # ablation (a uniform rate with no per-parameter range scaling).
@@ -462,19 +459,9 @@ def training_diagnostics(trace: TrainingTrace, theta_star: np.ndarray) -> Diagno
 
 def write_trace_csv(trace: TrainingTrace, path: Path) -> None:
     """Per-epoch CSV: epoch, loss, rmse, parameter estimates, grad norms."""
-    with open(Path(path), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["epoch", "loss", "rmse", *trace.names, "grad_norm2", "grad_norm_inf"]
-        )
-        for rec in trace.records:
-            writer.writerow(
-                [
-                    rec.epoch,
-                    _FLOAT_FMT.format(rec.loss),
-                    _FLOAT_FMT.format(rec.rmse),
-                    *(_FLOAT_FMT.format(v) for v in rec.theta),
-                    _FLOAT_FMT.format(rec.grad_norm2),
-                    _FLOAT_FMT.format(rec.grad_norm_inf),
-                ]
-            )
+    recs = trace.records
+    fields = ("epoch", "loss", "rmse", "grad_norm2", "grad_norm_inf")
+    epoch, loss, rmse, g2, ginf = ([getattr(r, f) for r in recs] for f in fields)
+    thetas = np.reshape([r.theta for r in recs], (len(recs), len(trace.names)))
+    header = ["epoch", "loss", "rmse", *trace.names, "grad_norm2", "grad_norm_inf"]
+    write_csv(path, header, [epoch, loss, rmse, *thetas.T, g2, ginf])

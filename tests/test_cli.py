@@ -342,3 +342,26 @@ def test_out_env_var_sets_default_root(tmp_path, monkeypatch):
 def test_missing_config_file_is_a_config_error(capsys):
     assert main(["synth", "--config", "no-such.yaml", "--out", "o"]) == 1
     assert "not found" in capsys.readouterr().err
+
+
+_UNUSABLE_PATHS = {
+    "out-is-a-file": (["synth", "--out", "blocker"], None, "blocker"),
+    "out-under-a-file": (["lipschitz", "--out", "blocker/x"], None, "blocker/x"),
+    "defaults-out-is-a-file": (["defaults", "--out", "blocker"], None, "blocker"),
+    "env-out-is-a-file": (["simulate"], "blocker", "blocker"),
+    "config-is-a-directory": (["synth", "--config", "cfgdir", "--out", "o"], None, "cfgdir"),
+    "config-not-utf8": (["synth", "--config", "latin1.yaml", "--out", "o"], None, "latin1.yaml"),
+}
+
+
+@pytest.mark.parametrize("argv,env_out,named", _UNUSABLE_PATHS.values(), ids=_UNUSABLE_PATHS)
+def test_unusable_path_is_an_error_line(monkeypatch, capsys, argv, env_out, named):
+    Path("blocker").write_text("a file, not a directory\n")
+    Path("cfgdir").mkdir()
+    Path("latin1.yaml").write_bytes("seed: 1  # caf\u00e9\n".encode("latin-1"))
+    if env_out is not None:
+        monkeypatch.setenv(OUT_ENV_VAR, env_out)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err, err
+    assert named in err, err

@@ -1,12 +1,16 @@
 """Modulation and dataset checks: square-wave geometry, exact-recurrence
-targets, seeded determinism, and the disk round trip."""
+targets, seeded determinism, the disk round trip and the artifact writer."""
+import csv
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import pannkit as pk
 from pannkit.errors import EmptyDataset, InvalidSpec
-from pannkit.signals import dab_pwm, step_inputs_one_period
+from pannkit.signals import dab_pwm, step_inputs_one_period, write_csv
 from pannkit.training import loss
 
 from conftest import quick_dataset
@@ -182,3 +186,39 @@ def test_stacked_concatenates_all_segments(train_dataset):
     assert z.shape == (3, 500)
     assert x.shape == (1, 500)
     assert train_dataset.n_steps == 500
+
+
+def csv_writer_reference(path, header, columns):
+    """The per-row csv.writer loop that write_csv replaced: integers passed
+    through, floats formatted to 17 significant digits."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for k in range(len(columns[0])):
+            writer.writerow(
+                [c[k] if isinstance(c[k], int) else "{:.17g}".format(c[k]) for c in columns]
+            )
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e308, -1e308]
+)
+_TABLES = st.integers(0, 12).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n),
+        st.lists(st.lists(_FINITE, min_size=n, max_size=n), min_size=1, max_size=4),
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_TABLES)
+def test_write_csv_equals_the_csv_writer_loop(table):
+    ints, floats = table
+    header = ["k", *(f"x{i}" for i in range(len(floats)))]
+    columns = [ints, *(np.array(col) for col in floats)]
+    with tempfile.TemporaryDirectory() as tmp:
+        want, got = Path(tmp, "want.csv"), Path(tmp, "sub", "got.csv")
+        csv_writer_reference(want, header, columns)
+        write_csv(got, header, columns)
+        assert got.read_bytes() == want.read_bytes()

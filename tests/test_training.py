@@ -1,5 +1,7 @@
 """Identification checks: loss and derivative values, rate construction,
-the optimizer loop, regret accounting, and run diagnostics."""
+the optimizer loop, regret accounting, run diagnostics and the trace file."""
+import csv
+
 import numpy as np
 import pytest
 
@@ -440,3 +442,33 @@ def test_trace_csv_round_trip(tmp_path, star, model, train_dataset):
     first = lines[1].split(",")
     assert int(first[0]) == 1
     assert float(first[1]) == trace.records[0].loss, "17-digit floats must round-trip"
+
+
+def trace_csv_reference(trace, path):
+    """The per-record csv.writer loop that write_trace_csv replaced."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["epoch", "loss", "rmse", *trace.names, "grad_norm2", "grad_norm_inf"])
+        for rec in trace.records:
+            floats = (rec.loss, rec.rmse, *rec.theta, rec.grad_norm2, rec.grad_norm_inf)
+            writer.writerow([rec.epoch, *("{:.17g}".format(v) for v in floats)])
+
+
+def test_trace_csv_equals_the_csv_writer_loop(tmp_path, star, model, train_dataset):
+    theta0 = star.with_values([120e-6, 0.903, 1.12])
+    cfg = AdamConfig(np.array([4.6e-6, 7.3e-2, 9.8e-3]), max_epochs=5)
+    # A NaN sample makes the first loss non-finite: the run stops at epoch 1
+    # with no records, and its file is the header alone.
+    seg = train_dataset.segments[0]
+    z = seg.z.copy()
+    z[0, 0] = np.nan
+    broken = WaveformDataset([Segment(z, seg.targets, seg.spec, 0.0, True)])
+    stopped = adam_train(broken, model, DT, theta0, cfg, "S3")
+    assert stopped.failed and not stopped.records
+    for trace in (adam_train(train_dataset, model, DT, theta0, cfg, "S3"), stopped):
+        write_trace_csv(trace, tmp_path / "got.csv")
+        trace_csv_reference(trace, tmp_path / "want.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    assert (tmp_path / "got.csv").read_bytes() == (
+        b"epoch,loss,rmse,L_k,R_L,n,grad_norm2,grad_norm_inf\r\n"
+    )
