@@ -17,6 +17,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -452,22 +453,22 @@ def run_strategy_sweep(
     comparison: dict = {
         "ginf": float(ginf),
         "l2theta_star": float(l2theta_star),
-        "base_rates": [float(v) for v in base_rates],
+        "base_rates": base_rates,
         "strategies": {},
     }
     for label in config.strategies:
         rates = strategy_rates(base_rates, label)
         adam = AdamConfig(rates, **config.adam)
-        trace = adam_train(train_dataset, model, dt, theta0, adam, label, seed=config.seed)
+        trace = adam_train(train_dataset, model, dt, theta0, adam, label)
         summary: dict = {
             "strategy": label,
-            "rates": [float(v) for v in rates],
+            "rates": rates,
             "diverged": trace.failed,
             "failure_reason": trace.failure_reason,
-            "final_theta": [float(v) for v in trace.final_theta],
+            "final_theta": trace.final_theta,
             "epochs_run": len(trace.records),
         }
-        if trace.records:
+        if len(trace.records):
             diag = training_diagnostics(trace, star.values)
             ledger = regret_ledger(
                 trace,
@@ -484,30 +485,28 @@ def run_strategy_sweep(
                 big_d=monitor.d_hat,
                 big_d_inf=monitor.dinf_hat,
                 ginf=monitor.ginf_hat,
-                t=np.arange(1, len(trace.records) + 1),
+                t=trace.records.epoch,
             )
             summary.update(
                 {
-                    "diagnostics": diag.to_dict(),
-                    "regret": ledger.to_dict(),
+                    "diagnostics": asdict(diag),
+                    "regret": asdict(ledger),
                     "monitor": monitor.to_dict(),
-                    "regret_bound_curve": [float(b) for b in bound_curve],
+                    "regret_bound_curve": bound_curve,
                     "regret_bound_dominates": bool(
                         np.all(ledger.curve <= bound_curve + 1e-12)
                     ),
-                    "final_loss": float(trace.records[-1].loss),
-                    "final_rel_err_pct": [
-                        float(v)
-                        for v in np.abs(trace.final_theta - star.values)
-                        / np.abs(star.values)
-                        * 100.0
-                    ],
+                    "final_loss": trace.records.loss[-1],
+                    "final_rel_err_pct": np.abs(trace.final_theta - star.values)
+                    / np.abs(star.values)
+                    * 100.0,
                 }
             )
             comparison["strategies"][label] = {
                 "convergence_epoch": diag.convergence_epoch,
-                "overshoot_pct": diag.to_dict()["overshoot_pct"],
-                "oscillation_count": diag.to_dict()["oscillation_count"],
+                # a list, as cmd_train prints it
+                "overshoot_pct": diag.overshoot_pct.tolist(),
+                "oscillation_count": diag.oscillation_count,
                 "final_loss": summary["final_loss"],
                 "final_rel_err_pct": summary["final_rel_err_pct"],
                 "diverged": trace.failed,
@@ -717,6 +716,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return args.func(config, out, args)
     except (ConfigError, InvalidSpec, OutOfBounds) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 1
     except PannkitError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

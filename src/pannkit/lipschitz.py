@@ -389,10 +389,10 @@ def theorem2_monitor(trace: "TrainingTrace") -> MonitorReport:
     """Scan a trace for max gradient norms (2 and infinity) and max pairwise
     iterate distances; satisfied when all are finite and the diameters fit
     inside the parameter box."""
-    if not trace.records:
+    if not len(trace.records):
         raise EmptyTrace("monitor needs at least one epoch")
-    grads = np.array([r.grad for r in trace.records])
-    iterates = np.vstack([trace.theta0[np.newaxis, :], np.array([r.theta for r in trace.records])])
+    grads = trace.records.grad
+    iterates = np.vstack([trace.theta0.values, trace.records.theta])
     g_hat = float(np.max(np.linalg.norm(grads, 2, axis=1)))
     ginf_hat = float(np.max(np.abs(grads)))
     # Rounding is monotone, so no pair's rounded difference exceeds the
@@ -402,7 +402,7 @@ def theorem2_monitor(trace: "TrainingTrace") -> MonitorReport:
     for idx in range(iterates.shape[0] - 1):
         diff = iterates[idx + 1 :] - iterates[idx]
         d_hat = max(d_hat, float(np.max(np.linalg.norm(diff, 2, axis=1))))
-    ranges = trace.box_upper - trace.box_lower
+    ranges = trace.theta0.ranges
     satisfied = bool(
         np.isfinite([g_hat, ginf_hat, d_hat, dinf_hat]).all()
         and dinf_hat <= float(np.max(ranges)) * (1.0 + 1e-12)

@@ -233,13 +233,21 @@ def write_csv(path: Path, header: Sequence[str], columns: Sequence) -> None:
                 fh.write(row.format(*values))
 
 
+def _tolist(o):
+    """numpy arrays and scalars as the lists and numbers they hold."""
+    if isinstance(o, (np.ndarray, np.generic)):
+        return o.tolist()
+    raise TypeError(f"{type(o).__name__} is not JSON serializable")
+
+
 def write_json(data, path: Path) -> None:
     """Write one JSON artifact, streamed: sorted keys, two-space indent and
-    a final newline. The parent directory is created."""
+    a final newline; numpy arrays and scalars are written as lists and
+    numbers. The parent directory is created."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
+        json.dump(data, fh, indent=2, sort_keys=True, default=_tolist)
         fh.write("\n")
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -69,45 +69,32 @@ class AdamConfig:
         return self.beta1**2 / np.sqrt(self.beta2)
 
 
-@dataclass
-class EpochRecord:
-    epoch: int
-    loss: float
-    rmse: float
-    theta: np.ndarray
-    grad: np.ndarray
-    grad_norm2: float
-    grad_norm_inf: float
+def epoch_records(n: int, dim: int) -> np.recarray:
+    """n zeroed rows of a run's per-epoch record: the epoch number, the loss
+    and its RMSE, the estimate theta, the gradient and its 2- and infinity
+    norms, for a dim-parameter model."""
+    dtype = [
+        ("epoch", np.int64), ("loss", float), ("rmse", float),
+        ("theta", float, (dim,)), ("grad", float, (dim,)),
+        ("grad_norm2", float), ("grad_norm_inf", float),
+    ]
+    return np.zeros(n, dtype=dtype).view(np.recarray)
 
 
 @dataclass
 class TrainingTrace:
-    records: List[EpochRecord]
+    """One training run: a record array with one row per epoch run, and the
+    starting point, whose box and names the consumers read."""
+
+    records: np.recarray
     strategy: str
-    seed: int
-    theta0: np.ndarray
-    box_lower: np.ndarray
-    box_upper: np.ndarray
-    names: tuple
+    theta0: ParamVector
     failed: bool = False
     failure_reason: str = ""
 
-    def __post_init__(self):
-        for i, rec in enumerate(self.records):
-            if rec.epoch != i + 1:
-                raise EmptyTrace(f"epochs must be contiguous from 1, got {rec.epoch} at {i}")
-
     @property
     def final_theta(self) -> np.ndarray:
-        return self.records[-1].theta if self.records else self.theta0
-
-    @property
-    def losses(self) -> np.ndarray:
-        return np.array([r.loss for r in self.records])
-
-    @property
-    def thetas(self) -> np.ndarray:
-        return np.array([r.theta for r in self.records])
+        return self.records.theta[-1] if len(self.records) else self.theta0.values
 
 
 @dataclass(frozen=True)
@@ -231,7 +218,6 @@ def adam_train(
     theta0: ParamVector,
     config: AdamConfig,
     strategy_label: str = "custom",
-    seed: int = 0,
 ) -> TrainingTrace:
     """Box-projected Adam with bias correction and per-epoch beta1 decay.
 
@@ -246,15 +232,15 @@ def adam_train(
     m = np.zeros(theta0.dim)
     v = np.zeros(theta0.dim)
     b1, b2 = config.beta1, config.beta2
-    records: List[EpochRecord] = []
-    failed = False
+    records = epoch_records(config.max_epochs, theta0.dim)
+    losses, thetas, grads, norms2 = records.loss, records.theta, records.grad, records.grad_norm2
+    ran = 0
     reason = ""
     for t in range(1, config.max_epochs + 1):
         trans, stats = _at(th, dataset, model, dt)
         f = float(stats.loss(trans))
         g = stats.gradient(trans)
         if not (np.isfinite(f) and np.all(np.isfinite(g))):
-            failed = True
             reason = f"non-finite loss/gradient at epoch {t}"
             break
         b1t = b1 * config.lambda_decay ** (t - 1)
@@ -263,28 +249,16 @@ def adam_train(
         m_hat = m / (1.0 - b1**t)
         v_hat = v / (1.0 - b2**t)
         th = theta0.clip(th - config.alpha * m_hat / (np.sqrt(v_hat) + config.epsilon))
-        records.append(
-            EpochRecord(
-                epoch=t,
-                loss=f,
-                rmse=float(np.sqrt(2.0 * f)),
-                theta=th.copy(),
-                grad=g.copy(),
-                grad_norm2=float(np.linalg.norm(g, 2)),
-                grad_norm_inf=float(np.max(np.abs(g))),
-            )
-        )
-    return TrainingTrace(
-        records=records,
-        strategy=strategy_label,
-        seed=seed,
-        theta0=theta0.values.copy(),
-        box_lower=theta0.lower.copy(),
-        box_upper=theta0.upper.copy(),
-        names=tuple(theta0.names),
-        failed=failed,
-        failure_reason=reason,
-    )
+        # The 2-norm stays per epoch: a per-row reduction over the gradient
+        # column does not round like the 1-D norm's dot product.
+        losses[ran], thetas[ran], grads[ran], norms2[ran] = f, th, g, np.linalg.norm(g, 2)
+        ran = t
+    records = records[:ran]
+    records.epoch = np.arange(1, ran + 1)
+    records.rmse = np.sqrt(2.0 * records.loss)
+    records.grad_norm_inf = np.max(np.abs(records.grad), axis=1)
+    return TrainingTrace(records, strategy_label, theta0, failed=bool(reason),
+                         failure_reason=reason)
 
 
 @dataclass
@@ -295,24 +269,10 @@ class RegretLedger:
     avg_regret: float
     theta_star_policy: str
     curve: np.ndarray
-    avg_curve: np.ndarray
     f_star: float
     window_accrual: float
     window_end: int
     slope: Optional[float]
-
-    def to_dict(self) -> dict:
-        return {
-            "regret_T": self.regret_T,
-            "avg_regret": self.avg_regret,
-            "theta_star_policy": self.theta_star_policy,
-            "curve": [float(v) for v in self.curve],
-            "avg_curve": [float(v) for v in self.avg_curve],
-            "f_star": self.f_star,
-            "window_accrual": self.window_accrual,
-            "window_end": self.window_end,
-            "slope": self.slope,
-        }
 
 
 def regret_ledger(
@@ -324,28 +284,26 @@ def regret_ledger(
     theta_star: Optional[np.ndarray] = None,
     window_accrual: float = 0.95,
 ) -> RegretLedger:
-    """Regret(T) = sum_t [f_t - f(theta_ref)] with its average curve, the
-    accrual window end (first T reaching the given fraction of total regret),
-    and the log-log growth slope fitted over that pre-convergence window.
+    """Regret(T) = sum_t [f_t - f(theta_ref)] with the accrual window end
+    (first T reaching the given fraction of total regret), and the log-log
+    growth slope fitted over that pre-convergence window.
 
     theta_ref is the supplied ground truth, or the best-seen iterate when
     theta_star_policy == "best-seen".
     """
-    if not trace.records:
+    if not len(trace.records):
         raise EmptyTrace("regret needs at least one epoch")
-    losses = trace.losses
+    losses = trace.records.loss
     if theta_star_policy == "ground-truth":
         if theta_star is None:
             raise ConfigError("ground-truth policy needs theta_star values")
-        pv = ParamVector(theta_star, trace.box_lower, trace.box_upper, trace.names)
-        f_star = loss(pv, dataset, model, dt)
+        f_star = loss(trace.theta0.with_values(theta_star), dataset, model, dt)
     elif theta_star_policy == "best-seen":
         f_star = float(np.min(losses))
     else:
         raise ConfigError(f"unknown theta_star_policy {theta_star_policy!r}")
     curve = np.cumsum(losses - f_star)
     t_axis = np.arange(1, losses.size + 1)
-    avg_curve = curve / t_axis
     regret_total = float(curve[-1])
     if regret_total > 0:
         window_end = int(np.argmax(curve >= window_accrual * regret_total)) + 1
@@ -364,7 +322,6 @@ def regret_ledger(
         avg_regret=regret_total / losses.size,
         theta_star_policy=theta_star_policy,
         curve=curve,
-        avg_curve=avg_curve,
         f_star=f_star,
         window_accrual=window_accrual,
         window_end=window_end,
@@ -413,24 +370,17 @@ class Diagnostics:
     convergence_epoch: Optional[int]
     oscillation_count: np.ndarray
 
-    def to_dict(self) -> dict:
-        return {
-            "overshoot_pct": [float(v) for v in self.overshoot_pct],
-            "convergence_epoch": self.convergence_epoch,
-            "oscillation_count": [int(v) for v in self.oscillation_count],
-        }
-
 
 def training_diagnostics(trace: TrainingTrace, theta_star: np.ndarray) -> Diagnostics:
     """Overshoot (peak excursion beyond the target as % of the initial gap),
     convergence epoch (first epoch after which every parameter stays within
     1% relative error), and oscillation counts (sign changes of the error
     after its first crossing)."""
-    if not trace.records:
+    if not len(trace.records):
         raise EmptyTrace("diagnostics need at least one epoch")
     theta_star = np.asarray(theta_star, dtype=float)
-    thetas = trace.thetas
-    gap = theta_star - trace.theta0
+    thetas = trace.records.theta
+    gap = theta_star - trace.theta0.values
 
     overshoot = np.zeros(theta_star.size)
     for i in range(theta_star.size):
@@ -459,9 +409,6 @@ def training_diagnostics(trace: TrainingTrace, theta_star: np.ndarray) -> Diagno
 
 def write_trace_csv(trace: TrainingTrace, path: Path) -> None:
     """Per-epoch CSV: epoch, loss, rmse, parameter estimates, grad norms."""
-    recs = trace.records
-    fields = ("epoch", "loss", "rmse", "grad_norm2", "grad_norm_inf")
-    epoch, loss, rmse, g2, ginf = ([getattr(r, f) for r in recs] for f in fields)
-    thetas = np.reshape([r.theta for r in recs], (len(recs), len(trace.names)))
-    header = ["epoch", "loss", "rmse", *trace.names, "grad_norm2", "grad_norm_inf"]
-    write_csv(path, header, [epoch, loss, rmse, *thetas.T, g2, ginf])
+    r = trace.records
+    header = ["epoch", "loss", "rmse", *trace.theta0.names, "grad_norm2", "grad_norm_inf"]
+    write_csv(path, header, [r.epoch, r.loss, r.rmse, *r.theta.T, r.grad_norm2, r.grad_norm_inf])

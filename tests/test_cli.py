@@ -351,6 +351,7 @@ _UNUSABLE_PATHS = {
     "env-out-is-a-file": (["simulate"], "blocker", "blocker"),
     "config-is-a-directory": (["synth", "--config", "cfgdir", "--out", "o"], None, "cfgdir"),
     "config-not-utf8": (["synth", "--config", "latin1.yaml", "--out", "o"], None, "latin1.yaml"),
+    "artifact-is-a-directory": (["simulate", "--out", "d"], None, "d/trajectory.csv"),
 }
 
 
@@ -358,6 +359,7 @@ _UNUSABLE_PATHS = {
 def test_unusable_path_is_an_error_line(monkeypatch, capsys, argv, env_out, named):
     Path("blocker").write_text("a file, not a directory\n")
     Path("cfgdir").mkdir()
+    Path("d/trajectory.csv").mkdir(parents=True)
     Path("latin1.yaml").write_bytes("seed: 1  # caf\u00e9\n".encode("latin-1"))
     if env_out is not None:
         monkeypatch.setenv(OUT_ENV_VAR, env_out)

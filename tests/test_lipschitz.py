@@ -8,8 +8,8 @@ import pannkit as pk
 from pannkit.errors import BoundViolation, DegenerateDomain, MissingDerivatives
 from pannkit.lipschitz import LipschitzReport, dab_l1z_values, sample_thetas, theorem2_monitor
 from pannkit.norms import NormKind, d2w_norm, dw_norm, mat_norm, vec_norm
-from pannkit.statespace import DiscreteTransition
-from pannkit.training import EpochRecord, TrainingTrace, gradient, hessian
+from pannkit.statespace import DiscreteTransition, ParamVector
+from pannkit.training import TrainingTrace, epoch_records, gradient, hessian
 
 from conftest import quick_dataset
 
@@ -270,27 +270,12 @@ def test_theoretical_constants_need_derivatives(box_domain):
 
 
 def synthetic_trace(thetas, grads, theta0, lower, upper):
-    records = [
-        EpochRecord(
-            epoch=t + 1,
-            loss=1.0,
-            rmse=np.sqrt(2.0),
-            theta=np.asarray(th, dtype=float),
-            grad=np.asarray(g, dtype=float),
-            grad_norm2=float(np.linalg.norm(g)),
-            grad_norm_inf=float(np.max(np.abs(g))),
-        )
-        for t, (th, g) in enumerate(zip(thetas, grads))
-    ]
-    return TrainingTrace(
-        records=records,
-        strategy="custom",
-        seed=0,
-        theta0=np.asarray(theta0, dtype=float),
-        box_lower=np.asarray(lower, dtype=float),
-        box_upper=np.asarray(upper, dtype=float),
-        names=("a", "b"),
-    )
+    """A trace filled in the columns the monitor reads: epoch, theta, grad."""
+    records = epoch_records(len(thetas), len(theta0))
+    records.epoch = np.arange(1, len(thetas) + 1)
+    records.theta = thetas
+    records.grad = grads
+    return TrainingTrace(records, "custom", ParamVector(theta0, lower, upper, ("a", "b")))
 
 
 def test_monitor_reports_exact_maxima():
@@ -316,7 +301,7 @@ def test_monitor_dinf_equals_the_pairwise_maximum(seed):
     # iterates spread over several magnitudes, so differences round
     thetas = rng.uniform(-1.0, 1.0, size=(40, 2)) * 10.0 ** rng.integers(-6, 3, size=(40, 2))
     trace = synthetic_trace(thetas, np.ones((40, 2)), thetas[0], [-1e3, -1e3], [1e3, 1e3])
-    iterates = np.vstack([trace.theta0, thetas])
+    iterates = np.vstack([trace.theta0.values, thetas])
     pairwise = max(
         float(np.max(np.abs(iterates[i + 1 :] - iterates[i])))
         for i in range(len(iterates) - 1)

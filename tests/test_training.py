@@ -6,15 +6,15 @@ import numpy as np
 import pytest
 
 import pannkit as pk
-from pannkit.errors import ConfigError, DivergentBound, EmptyTrace, NonPositiveBound
+from pannkit.errors import ConfigError, DivergentBound, NonPositiveBound
 from pannkit.signals import Segment, WaveformDataset
-from pannkit.statespace import DAB_LOWER, DAB_NAMES, DAB_THETA_STAR, DAB_UPPER
+from pannkit.statespace import DAB_THETA_STAR, ParamVector
 from pannkit.training import (
     AdamConfig,
-    EpochRecord,
     LossStatistics,
     TrainingTrace,
     adam_train,
+    epoch_records,
     gradient,
     hessian,
     loss,
@@ -55,30 +55,25 @@ def constant_target_dataset(value, n_steps=4):
     return WaveformDataset([seg])
 
 
-def make_trace(thetas, theta0, losses=None, names=("L_k", "R_L", "n")):
-    thetas = [np.asarray(t, dtype=float) for t in thetas]
-    if losses is None:
-        losses = [1.0] * len(thetas)
-    records = [
-        EpochRecord(
-            epoch=t + 1,
-            loss=float(f),
-            rmse=float(np.sqrt(2.0 * f)),
-            theta=th,
-            grad=np.zeros_like(th),
-            grad_norm2=0.0,
-            grad_norm_inf=0.0,
-        )
-        for t, (th, f) in enumerate(zip(thetas, losses))
-    ]
+def nan_sample_dataset(dataset):
+    """The first segment with one NaN sample: the first loss is non-finite,
+    so a run on it stops at epoch 1 with no records."""
+    seg = dataset.segments[0]
+    z = seg.z.copy()
+    z[0, 0] = np.nan
+    return WaveformDataset([Segment(z, seg.targets, seg.spec, 0.0, True)])
+
+
+def make_trace(thetas, theta0):
+    """A trace filled in the columns the diagnostics read, epoch and theta,
+    in a box of +-10 around theta0 (the diagnostics do not read the box)."""
+    thetas = np.asarray(thetas, dtype=float)
+    records = epoch_records(len(thetas), thetas.shape[1])
+    records.epoch = np.arange(1, len(thetas) + 1)
+    records.theta = thetas
+    theta0 = np.asarray(theta0, dtype=float)
     return TrainingTrace(
-        records=records,
-        strategy="custom",
-        seed=0,
-        theta0=np.asarray(theta0, dtype=float),
-        box_lower=DAB_LOWER.copy(),
-        box_upper=DAB_UPPER.copy(),
-        names=names,
+        records, "custom", ParamVector(theta0, theta0 - 10.0, theta0 + 10.0, ("a", "b", "c"))
     )
 
 
@@ -251,7 +246,7 @@ def test_adam_stays_put_on_zero_gradient(star, model):
     assert np.array_equal(trace.final_theta, theta0.values), (
         "zero gradient must leave the parameters untouched"
     )
-    assert np.all(trace.losses == 0.0)
+    assert np.all(trace.records.loss == 0.0)
 
 
 def test_adam_reduces_loss(star, model, train_dataset):
@@ -290,20 +285,25 @@ def test_adam_flags_nonfinite_loss(star):
     assert np.array_equal(trace.final_theta, theta0.values)
 
 
+def test_adam_fills_one_record_row_per_epoch(star, model, train_dataset):
+    theta0 = star.with_values([120e-6, 0.903, 1.12])
+    cfg = AdamConfig(np.array([4.6e-6, 7.3e-2, 9.8e-3]), max_epochs=50)
+    trace = adam_train(train_dataset, model, DT, theta0, cfg, "S3")
+    assert len(trace.records) == cfg.max_epochs
+    for t, rec in enumerate(trace.records, start=1):
+        assert rec.epoch == t
+        assert rec.rmse == float(np.sqrt(2.0 * rec.loss))
+        assert rec.grad_norm2 == float(np.linalg.norm(rec.grad, 2))
+        assert rec.grad_norm_inf == float(np.max(np.abs(rec.grad)))
+    stopped = adam_train(nan_sample_dataset(train_dataset), model, DT, theta0, cfg, "S3")
+    assert stopped.failed and len(stopped.records) == 0
+    assert stopped.records.dtype == trace.records.dtype
+
+
 def test_adam_rejects_alpha_size_mismatch(star, model, train_dataset):
     with pytest.raises(ConfigError):
         adam_train(
             train_dataset, model, DT, star, AdamConfig(np.array([1e-3, 1e-3]))
-        )
-
-
-def test_trace_requires_contiguous_epochs():
-    rec = EpochRecord(5, 1.0, 1.4, np.zeros(3), np.zeros(3), 0.0, 0.0)
-    with pytest.raises(EmptyTrace):
-        TrainingTrace(
-            records=[rec], strategy="x", seed=0,
-            theta0=np.zeros(3), box_lower=DAB_LOWER, box_upper=DAB_UPPER,
-            names=DAB_NAMES,
         )
 
 
@@ -325,7 +325,7 @@ def test_regret_curve_is_nondecreasing(star, model, train_dataset):
         "ground-truth loss is the global minimum, so increments are nonnegative"
     )
     assert ledger.window_end <= len(trace.records)
-    assert ledger.avg_curve[-1] == pytest.approx(ledger.avg_regret)
+    assert ledger.curve[-1] / len(trace.records) == pytest.approx(ledger.avg_regret)
 
 
 def test_regret_best_seen_policy(star, model, train_dataset):
@@ -333,7 +333,7 @@ def test_regret_best_seen_policy(star, model, train_dataset):
     cfg = AdamConfig(np.array([4.6e-6, 7.3e-2, 9.8e-3]), max_epochs=20)
     trace = adam_train(train_dataset, model, DT, theta0, cfg)
     ledger = regret_ledger(trace, train_dataset, model, DT, theta_star_policy="best-seen")
-    assert ledger.f_star == np.min(trace.losses)
+    assert ledger.f_star == np.min(trace.records.loss)
     assert np.all(np.diff(ledger.curve) >= 0.0)
     with pytest.raises(ConfigError):
         regret_ledger(trace, train_dataset, model, DT, theta_star_policy="nonsense")
@@ -371,7 +371,6 @@ def test_diagnostics_monotone_approach():
     trace = make_trace(
         thetas=[[0.5, 1.8, 1.0], [0.9, 1.8, 1.0], [0.995, 1.8, 1.0], [1.0, 1.8, 1.0]],
         theta0=[0.0, 1.8, 1.0],
-        names=("a", "b", "c"),
     )
     # only the first axis moves; its target is 1.0 from 0.0
     diag = training_diagnostics(trace, np.array([1.0, 1.8, 1.0]))
@@ -385,7 +384,6 @@ def test_diagnostics_overshoot_percentage():
     trace = make_trace(
         thetas=[[1.87, 1.8, 1.0], [1.0, 1.8, 1.0]],
         theta0=[0.0, 1.8, 1.0],
-        names=("a", "b", "c"),
     )
     diag = training_diagnostics(trace, np.array([1.0, 1.8, 1.0]))
     assert diag.overshoot_pct[0] == pytest.approx(87.0)
@@ -396,7 +394,6 @@ def test_diagnostics_overshoot_uses_initial_gap():
     trace = make_trace(
         thetas=[[1.1, 1.8, 1.0]],
         theta0=[0.5, 1.8, 1.0],
-        names=("a", "b", "c"),
     )
     diag = training_diagnostics(trace, np.array([1.0, 1.8, 1.0]))
     assert diag.overshoot_pct[0] == pytest.approx(20.0), "0.1 beyond over a 0.5 gap"
@@ -413,7 +410,6 @@ def test_diagnostics_counts_oscillations():
             [1.0, 1.8, 1.0],
         ],
         theta0=[0.0, 1.8, 1.0],
-        names=("a", "b", "c"),
     )
     diag = training_diagnostics(trace, np.array([1.0, 1.8, 1.0]))
     assert diag.oscillation_count[0] == 2
@@ -424,7 +420,6 @@ def test_diagnostics_none_when_not_converged():
     trace = make_trace(
         thetas=[[0.5, 1.8, 1.0]],
         theta0=[0.0, 1.8, 1.0],
-        names=("a", "b", "c"),
     )
     diag = training_diagnostics(trace, np.array([1.0, 1.8, 1.0]))
     assert diag.convergence_epoch is None
@@ -448,7 +443,8 @@ def trace_csv_reference(trace, path):
     """The per-record csv.writer loop that write_trace_csv replaced."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["epoch", "loss", "rmse", *trace.names, "grad_norm2", "grad_norm_inf"])
+        names = trace.theta0.names
+        writer.writerow(["epoch", "loss", "rmse", *names, "grad_norm2", "grad_norm_inf"])
         for rec in trace.records:
             floats = (rec.loss, rec.rmse, *rec.theta, rec.grad_norm2, rec.grad_norm_inf)
             writer.writerow([rec.epoch, *("{:.17g}".format(v) for v in floats)])
@@ -457,14 +453,9 @@ def trace_csv_reference(trace, path):
 def test_trace_csv_equals_the_csv_writer_loop(tmp_path, star, model, train_dataset):
     theta0 = star.with_values([120e-6, 0.903, 1.12])
     cfg = AdamConfig(np.array([4.6e-6, 7.3e-2, 9.8e-3]), max_epochs=5)
-    # A NaN sample makes the first loss non-finite: the run stops at epoch 1
-    # with no records, and its file is the header alone.
-    seg = train_dataset.segments[0]
-    z = seg.z.copy()
-    z[0, 0] = np.nan
-    broken = WaveformDataset([Segment(z, seg.targets, seg.spec, 0.0, True)])
-    stopped = adam_train(broken, model, DT, theta0, cfg, "S3")
-    assert stopped.failed and not stopped.records
+    # A run stopped at epoch 1 writes the header alone.
+    stopped = adam_train(nan_sample_dataset(train_dataset), model, DT, theta0, cfg, "S3")
+    assert stopped.failed and not len(stopped.records)
     for trace in (adam_train(train_dataset, model, DT, theta0, cfg, "S3"), stopped):
         write_trace_csv(trace, tmp_path / "got.csv")
         trace_csv_reference(trace, tmp_path / "want.csv")
