@@ -57,7 +57,7 @@ from .statespace import DAB_NAMES, ParamVector, dab_model, transition_values
 from .training import (
     AdamConfig,
     LossStatistics,
-    adam_train,
+    adam_sweep,
     lipschitz_aware_rates,
     regret_bound,
     regret_ledger,
@@ -456,13 +456,16 @@ def run_strategy_sweep(
         "base_rates": base_rates,
         "strategies": {},
     }
-    for label in config.strategies:
-        rates = strategy_rates(base_rates, label)
-        adam = AdamConfig(rates, **config.adam)
-        trace = adam_train(train_dataset, model, dt, theta0, adam, label)
+    adams = {
+        label: AdamConfig(strategy_rates(base_rates, label), **config.adam)
+        for label in config.strategies
+    }
+    traces = adam_sweep(train_dataset, model, dt, theta0, adams)
+    for label, adam in adams.items():
+        trace = traces[label]
         summary: dict = {
             "strategy": label,
-            "rates": rates,
+            "rates": adam.alpha,
             "diverged": trace.failed,
             "failure_reason": trace.failure_reason,
             "final_theta": trace.final_theta,

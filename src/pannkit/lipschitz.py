@@ -49,6 +49,8 @@ _MAX_CORNER_DIMS = 16
 # Thetas or pairs evaluated at once. It bounds every block array, and so the
 # stage's peak memory, whatever the sample counts.
 _BLOCK = 512
+# Iterates per block of the monitor's D_hat search.
+_DIAMETER_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -385,6 +387,46 @@ class MonitorReport:
         }
 
 
+def _sq_norms(d: np.ndarray) -> np.ndarray:
+    """Squared 2-norms over the last axis, summed left to right, which is how
+    np.linalg.norm sums rows of fewer than 8 coordinates."""
+    sq = d[..., 0] * d[..., 0]
+    for j in range(1, d.shape[-1]):
+        sq += d[..., j] * d[..., j]
+    return sq
+
+
+def _diameter(points: np.ndarray) -> float:
+    """The largest pairwise 2-norm distance of the rows of `points`, each
+    pair rounded as its own subtraction, squares and sum round; NaN if any
+    point is non-finite.
+
+    An exact branch and bound over blocks of _DIAMETER_BLOCK points. Rounding
+    is monotone, so on each coordinate no pair from blocks A and B has a
+    rounded difference larger in magnitude than max(fl(hi_B - lo_A),
+    fl(hi_A - lo_B)), and these bounds, squared and summed in the same order,
+    bound every pair's squared distance. A block pair whose bound is below
+    the best squared distance found so far is skipped; the rest are
+    evaluated in full. sqrt is monotone too, so one root of the largest
+    squared distance is the largest distance.
+    """
+    if not np.isfinite(points).all():
+        return float("nan")
+    # Seed: the point farthest from the point farthest from the first.
+    far = points[np.argmax(_sq_norms(points - points[0]))]
+    best = float(np.max(_sq_norms(points - far)))
+    blocks = [points[i : i + _DIAMETER_BLOCK] for i in range(0, len(points), _DIAMETER_BLOCK)]
+    lo = np.array([b.min(axis=0) for b in blocks])
+    hi = np.array([b.max(axis=0) for b in blocks])
+    bound = _sq_norms(np.maximum(hi - lo[:, None], hi[:, None] - lo))
+    first, second = np.triu_indices(len(blocks))
+    for a, b in sorted(zip(first, second), key=lambda ab: -bound[ab]):
+        if bound[a, b] < best:
+            break
+        best = max(best, float(np.max(_sq_norms(blocks[b] - blocks[a][:, None]))))
+    return float(np.sqrt(best))
+
+
 def theorem2_monitor(trace: "TrainingTrace") -> MonitorReport:
     """Scan a trace for max gradient norms (2 and infinity) and max pairwise
     iterate distances; satisfied when all are finite and the diameters fit
@@ -398,10 +440,7 @@ def theorem2_monitor(trace: "TrainingTrace") -> MonitorReport:
     # Rounding is monotone, so no pair's rounded difference exceeds the
     # extreme pair's: the widest coordinate range is the exact pairwise max.
     dinf_hat = float(np.max(np.ptp(iterates, axis=0)))
-    d_hat = 0.0
-    for idx in range(iterates.shape[0] - 1):
-        diff = iterates[idx + 1 :] - iterates[idx]
-        d_hat = max(d_hat, float(np.max(np.linalg.norm(diff, 2, axis=1))))
+    d_hat = _diameter(iterates)
     ranges = trace.theta0.ranges
     satisfied = bool(
         np.isfinite([g_hat, ginf_hat, d_hat, dinf_hat]).all()

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Dict, Mapping, Optional
 
 import numpy as np
 
@@ -115,24 +115,31 @@ class LossStatistics:
     w_ref: np.ndarray
     gram: np.ndarray
     cross: np.ndarray
-    mean_sq: float
+    mean_sq: float | np.ndarray
 
     @classmethod
     def of(cls, dataset: WaveformDataset, w_ref: np.ndarray) -> "LossStatistics":
+        """Statistics referenced at one transition, or at each row of a block
+        of them; then c and s carry the block's leading axis."""
         z, x = dataset.stacked()
         k = z.shape[1]
         if k == 0:
             raise EmptyDataset("dataset has no steps")
+        # A block's rows are strided views, and BLAS multiplies them into Z
+        # with other roundings than the contiguous single-theta W.
+        w_ref = np.ascontiguousarray(w_ref)
         r = w_ref @ z - x
-        return cls(w_ref, dataset.gram(), z @ r.T / k, float(np.sum(r * r)) / k)
+        cross = z @ np.swapaxes(r, -2, -1) / k
+        return cls(w_ref, dataset.gram(), cross, np.sum(r * r, axis=(-2, -1)) / k)
 
     def _slope(self, trans: DiscreteTransition) -> np.ndarray:
         """df/dW = dW G + c^T, per theta."""
-        return (trans.w - self.w_ref) @ self.gram + self.cross.T
+        return (trans.w - self.w_ref) @ self.gram + np.swapaxes(self.cross, -2, -1)
 
     def loss(self, trans: DiscreteTransition):
         d = trans.w - self.w_ref
-        quad_and_lin = ((d @ self.gram + 2.0 * self.cross.T) * d).sum(axis=(-2, -1))
+        lin = 2.0 * np.swapaxes(self.cross, -2, -1)
+        quad_and_lin = ((d @ self.gram + lin) * d).sum(axis=(-2, -1))
         return 0.5 * (quad_and_lin + self.mean_sq)
 
     def gradient(self, trans: DiscreteTransition) -> np.ndarray:
@@ -219,46 +226,87 @@ def adam_train(
     config: AdamConfig,
     strategy_label: str = "custom",
 ) -> TrainingTrace:
-    """Box-projected Adam with bias correction and per-epoch beta1 decay.
+    """Box-projected Adam with bias correction and per-epoch beta1 decay: a
+    sweep of one strategy."""
+    return adam_sweep(dataset, model, dt, theta0, {strategy_label: config})[strategy_label]
 
-    Deterministic given (theta0, dataset, config). A non-finite loss or
-    gradient aborts with the trace so far and the failed flag set.
+
+def adam_sweep(
+    dataset: WaveformDataset,
+    model: ContinuousModel,
+    dt: float,
+    theta0: ParamVector,
+    configs: Mapping[str, AdamConfig],
+) -> Dict[str, TrainingTrace]:
+    """Box-projected Adam with bias correction and per-epoch beta1 decay, for
+    every labelled config at once, all started at theta0.
+
+    The configs may differ only in their rates. Each epoch advances the S
+    running strategies as one (S, D) block: one block transition, one set of
+    loss statistics and one Adam update, whose rows equal the runs made one
+    strategy at a time bit for bit. Deterministic given (theta0, dataset,
+    configs). A strategy whose loss or gradient turns non-finite stops alone,
+    with its trace so far and the failed flag set; the others go on.
     """
-    if config.alpha.size != theta0.dim:
-        raise ConfigError(
-            f"alpha has {config.alpha.size} entries for {theta0.dim} parameters"
-        )
-    th = theta0.values.copy()
-    m = np.zeros(theta0.dim)
-    v = np.zeros(theta0.dim)
-    b1, b2 = config.beta1, config.beta2
-    records = epoch_records(config.max_epochs, theta0.dim)
-    losses, thetas, grads, norms2 = records.loss, records.theta, records.grad, records.grad_norm2
-    ran = 0
-    reason = ""
-    for t in range(1, config.max_epochs + 1):
+    if not configs:
+        return {}
+    labels = list(configs)
+    first = configs[labels[0]]
+    shared = ("beta1", "beta2", "epsilon", "lambda_decay", "max_epochs")
+    for label, config in configs.items():
+        if config.alpha.size != theta0.dim:
+            raise ConfigError(
+                f"alpha has {config.alpha.size} entries for {theta0.dim} parameters"
+            )
+        if any(getattr(config, key) != getattr(first, key) for key in shared):
+            raise ConfigError(f"strategy {label!r} differs from {labels[0]!r} in more than alpha")
+    b1, b2 = first.beta1, first.beta2
+    records = [epoch_records(first.max_epochs, theta0.dim) for _ in labels]
+    # Each epoch writes its row of every running strategy's record columns in
+    # place; live[row] is the index in `labels` of the block's row `row`.
+    columns = [(r.loss, r.theta, r.grad, r.grad_norm2) for r in records]
+    live = list(range(len(labels)))
+    alpha = np.stack([configs[label].alpha for label in labels])
+    th = np.tile(theta0.values, (len(labels), 1))
+    m = np.zeros_like(th)
+    v = np.zeros_like(th)
+    ran = [first.max_epochs] * len(labels)
+    reasons = [""] * len(labels)
+    for t in range(1, first.max_epochs + 1):
         trans, stats = _at(th, dataset, model, dt)
-        f = float(stats.loss(trans))
+        f = stats.loss(trans)
         g = stats.gradient(trans)
-        if not (np.isfinite(f) and np.all(np.isfinite(g))):
-            reason = f"non-finite loss/gradient at epoch {t}"
-            break
-        b1t = b1 * config.lambda_decay ** (t - 1)
+        finite = np.isfinite(f) & np.isfinite(g).all(axis=1)
+        if not finite.all():
+            # Stopped rows leave the block, so no later arithmetic meets them.
+            for row in np.flatnonzero(~finite):
+                ran[live[row]] = t - 1
+                reasons[live[row]] = f"non-finite loss/gradient at epoch {t}"
+            live = [i for i, ok in zip(live, finite) if ok]
+            if not live:
+                break
+            f, g, th, m, v, alpha = (a[finite] for a in (f, g, th, m, v, alpha))
+        b1t = b1 * first.lambda_decay ** (t - 1)
         m = b1t * m + (1.0 - b1t) * g
         v = b2 * v + (1.0 - b2) * g * g
         m_hat = m / (1.0 - b1**t)
         v_hat = v / (1.0 - b2**t)
-        th = theta0.clip(th - config.alpha * m_hat / (np.sqrt(v_hat) + config.epsilon))
-        # The 2-norm stays per epoch: a per-row reduction over the gradient
-        # column does not round like the 1-D norm's dot product.
-        losses[ran], thetas[ran], grads[ran], norms2[ran] = f, th, g, np.linalg.norm(g, 2)
-        ran = t
-    records = records[:ran]
-    records.epoch = np.arange(1, ran + 1)
-    records.rmse = np.sqrt(2.0 * records.loss)
-    records.grad_norm_inf = np.max(np.abs(records.grad), axis=1)
-    return TrainingTrace(records, strategy_label, theta0, failed=bool(reason),
-                         failure_reason=reason)
+        th = theta0.clip(th - alpha * m_hat / (np.sqrt(v_hat) + first.epsilon))
+        for row, i in enumerate(live):
+            losses, thetas, grads, norms2 = columns[i]
+            # The 2-norm stays per row: a reduction over the block's gradient
+            # rows does not round like the 1-D norm's dot product.
+            losses[t - 1], thetas[t - 1], grads[t - 1] = f[row], th[row], g[row]
+            norms2[t - 1] = np.linalg.norm(g[row], 2)
+    traces = {}
+    for i, label in enumerate(labels):
+        rec = records[i][: ran[i]]
+        rec.epoch = np.arange(1, ran[i] + 1)
+        rec.rmse = np.sqrt(2.0 * rec.loss)
+        rec.grad_norm_inf = np.max(np.abs(rec.grad), axis=1)
+        traces[label] = TrainingTrace(rec, label, theta0, failed=bool(reasons[i]),
+                                      failure_reason=reasons[i])
+    return traces
 
 
 @dataclass

@@ -2,7 +2,7 @@
 dominance over empirical ratios, and the training monitor."""
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import pannkit as pk
 from pannkit.errors import BoundViolation, DegenerateDomain, MissingDerivatives
@@ -275,7 +275,8 @@ def synthetic_trace(thetas, grads, theta0, lower, upper):
     records.epoch = np.arange(1, len(thetas) + 1)
     records.theta = thetas
     records.grad = grads
-    return TrainingTrace(records, "custom", ParamVector(theta0, lower, upper, ("a", "b")))
+    names = tuple("abcd"[: len(theta0)])
+    return TrainingTrace(records, "custom", ParamVector(theta0, lower, upper, names))
 
 
 def test_monitor_reports_exact_maxima():
@@ -307,6 +308,60 @@ def test_monitor_dinf_equals_the_pairwise_maximum(seed):
         for i in range(len(iterates) - 1)
     )
     assert theorem2_monitor(trace).dinf_hat == pairwise
+
+
+def loop_d_hat(iterates):
+    """The monitor's former O(T^2) scan, one row of pairs at a time."""
+    d_hat = 0.0
+    for idx in range(iterates.shape[0] - 1):
+        diff = iterates[idx + 1 :] - iterates[idx]
+        d_hat = max(d_hat, float(np.max(np.linalg.norm(diff, 2, axis=1))))
+    return d_hat
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 300),
+    st.integers(1, 4),
+    st.sampled_from(["magnitudes", "repeats", "constant"]),
+)
+@example(0, 1, 3, "magnitudes")  # T = 1
+@example(0, 63, 3, "magnitudes")  # T + 1 = 64 iterates, one full block
+@example(0, 200, 3, "magnitudes")  # 201 iterates, a partial last block
+@example(0, 150, 3, "constant")
+@settings(max_examples=60, deadline=None)
+def test_monitor_d_hat_equals_the_pairwise_loop(seed, epochs, dim, kind):
+    """The blocked branch and bound returns the loop's value bit for bit."""
+    rng = np.random.default_rng(seed)
+    shape = (epochs + 1, dim)
+    if kind == "magnitudes":
+        points = rng.uniform(-1.0, 1.0, size=shape) * 10.0 ** rng.integers(-12, 3, size=shape)
+    elif kind == "repeats":
+        # few distinct points, so many pairs tie at the maximum
+        pool = rng.uniform(-1.0, 1.0, size=(3, dim)) * 10.0 ** rng.integers(-3, 3, size=(3, dim))
+        points = pool[rng.integers(0, 3, size=epochs + 1)]
+    else:
+        points = np.full(shape, rng.uniform(-100.0, 100.0))
+    box = np.full(dim, 1e3)
+    trace = synthetic_trace(points[1:], np.ones((epochs, dim)), points[0], -box, box)
+    assert theorem2_monitor(trace).d_hat == loop_d_hat(points)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_monitor_d_hat_is_nan_on_a_non_finite_iterate(bad):
+    """The loop's max(d_hat, nan) dropped every row of pairs that met a NaN
+    (here all of them, so it read 0.0); D_hat is NaN on any non-finite
+    iterate, and Dinf_hat is not finite either."""
+    trace = synthetic_trace(
+        thetas=[[1.0, 0.0], [bad, 0.0], [5.0, 0.0]],
+        grads=np.ones((3, 2)),
+        theta0=[0.0, 0.0],
+        lower=[-10.0, -10.0],
+        upper=[10.0, 10.0],
+    )
+    rep = theorem2_monitor(trace)
+    assert np.isnan(rep.d_hat) and not np.isfinite(rep.dinf_hat)
+    assert not rep.satisfied
 
 
 def test_monitor_flags_escaped_iterates():

@@ -10,9 +10,11 @@ from pannkit.errors import ConfigError, DivergentBound, NonPositiveBound
 from pannkit.signals import Segment, WaveformDataset
 from pannkit.statespace import DAB_THETA_STAR, ParamVector
 from pannkit.training import (
+    STRATEGY_LABELS,
     AdamConfig,
     LossStatistics,
     TrainingTrace,
+    adam_sweep,
     adam_train,
     epoch_records,
     gradient,
@@ -298,6 +300,95 @@ def test_adam_fills_one_record_row_per_epoch(star, model, train_dataset):
     stopped = adam_train(nan_sample_dataset(train_dataset), model, DT, theta0, cfg, "S3")
     assert stopped.failed and len(stopped.records) == 0
     assert stopped.records.dtype == trace.records.dtype
+
+
+def sweep_configs(max_epochs):
+    """The six default strategies over S3-like base rates."""
+    base = np.array([4.6e-6, 7.3e-2, 9.8e-3])
+    return {
+        label: AdamConfig(strategy_rates(base, label), max_epochs=max_epochs)
+        for label in STRATEGY_LABELS
+    }
+
+
+def assert_same_run(got, want):
+    assert got.records.tobytes() == want.records.tobytes(), got.strategy
+    assert got.records.dtype == want.records.dtype
+    assert (got.failed, got.failure_reason) == (want.failed, want.failure_reason)
+
+
+def test_sweep_rows_equal_solo_runs(star, model, train_dataset):
+    """Lockstep training changes no bit of any strategy's record, S5 and S6
+    (which cross the whole box in a step) included."""
+    theta0 = star.with_values([120e-6, 0.903, 1.12])
+    configs = sweep_configs(120)
+    traces = adam_sweep(train_dataset, model, DT, theta0, configs)
+    assert list(traces) == list(configs)
+    for label, config in configs.items():
+        assert len(traces[label].records) == config.max_epochs
+        assert_same_run(traces[label], adam_train(train_dataset, model, DT, theta0, config, label))
+
+
+def test_sweep_stops_an_overflowing_strategy_alone(star, train_dataset):
+    """A generic model whose dB/dtheta overflows only at R_L > 2.5, where of
+    the six only S5 goes: S5 stops with its solo run's records and reason,
+    the others run every epoch as they do alone."""
+    dab = pk.dab_model()
+
+    def db(v):
+        out = dab.db_dtheta(v)
+        lk, rl, _ = v.tolist()
+        if rl > 2.5:
+            out[0, 0, 0] = -1.0 / lk**2 * 1e305  # a Python float: -inf, no warning
+        return out
+
+    model = pk.ContinuousModel(1, 2, 3, dab.a_of, dab.b_of, dab.da_dtheta, db)
+    theta0 = star.with_values([120e-6, 0.903, 1.12])
+    configs = sweep_configs(40)
+    traces = adam_sweep(train_dataset, model, DT, theta0, configs)
+    for label, config in configs.items():
+        solo = adam_train(train_dataset, model, DT, theta0, config, label)
+        assert_same_run(traces[label], solo)
+        if label == "S5":
+            assert solo.failed and 0 < len(solo.records) < config.max_epochs
+            assert solo.failure_reason == f"non-finite loss/gradient at epoch {len(solo.records) + 1}"
+        else:
+            assert not solo.failed and len(solo.records) == config.max_epochs
+
+
+def test_sweep_stops_every_strategy_on_a_nan_sample(star, model, train_dataset):
+    theta0 = star.with_values([120e-6, 0.903, 1.12])
+    traces = adam_sweep(nan_sample_dataset(train_dataset), model, DT, theta0, sweep_configs(5))
+    dtype = epoch_records(0, 3).dtype
+    for trace in traces.values():
+        assert trace.failed and trace.failure_reason == "non-finite loss/gradient at epoch 1"
+        assert len(trace.records) == 0 and trace.records.dtype == dtype
+
+
+def test_sweep_takes_configs_differing_only_in_alpha(star, model, train_dataset):
+    assert adam_sweep(train_dataset, model, DT, star, {}) == {}
+    configs = sweep_configs(5)
+    configs["S6"] = AdamConfig(configs["S6"].alpha, max_epochs=6)
+    with pytest.raises(ConfigError):
+        adam_sweep(train_dataset, model, DT, star, configs)
+
+
+def test_block_statistics_equal_solo_statistics(star, train_dataset):
+    """Statistics referenced at a dab_transition block, whose rows are strided
+    views, equal those referenced at each theta alone bit for bit, and so do
+    the loss and gradient read from them: BLAS rounds a strided row times Z
+    otherwise, so the kernel multiplies a contiguous copy."""
+    thetas = np.random.default_rng(41).uniform(star.lower, star.upper, size=(6, 3))
+    block = pk.dab_transition(thetas, DT)
+    assert not block.w[0].flags.c_contiguous
+    stats = LossStatistics.of(train_dataset, block.w)
+    f, g = stats.loss(block), stats.gradient(block)
+    for i, values in enumerate(thetas):
+        trans = pk.dab_transition(values, DT)
+        solo = LossStatistics.of(train_dataset, trans.w)
+        assert stats.cross[i].tobytes() == solo.cross.tobytes()
+        assert stats.mean_sq[i] == solo.mean_sq
+        assert f[i] == solo.loss(trans) and g[i].tobytes() == solo.gradient(trans).tobytes()
 
 
 def test_adam_rejects_alpha_size_mismatch(star, model, train_dataset):
