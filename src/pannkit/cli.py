@@ -534,14 +534,22 @@ def cmd_train(config: ExperimentConfig, out: Path, args: argparse.Namespace) -> 
 def _persist_sweep(
     config, out: Path, comparison: dict, summaries: Dict[str, dict]
 ) -> List[Path]:
-    """Write traces, summaries and the comparison; returns their paths."""
+    """Write traces, summaries and the comparison; returns their paths.
+
+    A summary is written without the two curves it derives from the rest:
+    `regret.curve` is the cumulative sum of trace.csv's loss minus
+    `regret.f_star`, and `regret_bound_curve` is `regret_bound` of the
+    written rates, monitor and config at epochs 1..T."""
     train_dir = out / "train"
     written: List[Path] = []
     for label, summary in summaries.items():
         trace = summary.pop("_trace")
         sdir = train_dir / label
         write_trace_csv(trace, sdir / "trace.csv")
-        write_json({**summary, "config": config.to_dict()}, sdir / "summary.json")
+        persisted = {k: v for k, v in summary.items() if k != "regret_bound_curve"}
+        if "regret" in summary:
+            persisted["regret"] = {k: v for k, v in summary["regret"].items() if k != "curve"}
+        write_json({**persisted, "config": config.to_dict()}, sdir / "summary.json")
         written += [sdir / "trace.csv", sdir / "summary.json"]
     write_json(comparison, train_dir / "comparison.json")
     return written + [train_dir / "comparison.json"]

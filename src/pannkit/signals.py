@@ -224,13 +224,13 @@ def write_csv(path: Path, header: Sequence[str], columns: Sequence) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     cols = [np.asarray(c) for c in columns]
-    row = ",".join("{}" if c.dtype.kind in "iu" else "{:.17g}" for c in cols) + "\r\n"
+    row = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in cols) + "\r\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for start in range(0, len(cols[0]), _CSV_BLOCK):
             block = [c[start : start + _CSV_BLOCK].tolist() for c in cols]
             for values in zip(*block):
-                fh.write(row.format(*values))
+                fh.write(row % values)
 
 
 def _tolist(o):

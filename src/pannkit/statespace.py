@@ -15,6 +15,7 @@ of shape (B, D_theta); a block's tensors carry a leading batch axis.
 """
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -49,27 +50,31 @@ class ParamVector:
     names: Sequence[str]
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
         self.lower = np.asarray(self.lower, dtype=float)
         self.upper = np.asarray(self.upper, dtype=float)
-        n = self.values.size
-        if not (self.lower.size == n == self.upper.size == len(self.names)):
+        if not (self.lower.size == self.upper.size == len(self.names)):
             raise OutOfBounds(
-                f"inconsistent parameter vector sizes: values {n}, "
-                f"lower {self.lower.size}, upper {self.upper.size}, "
-                f"names {len(self.names)}"
+                f"inconsistent parameter vector sizes: lower {self.lower.size}, "
+                f"upper {self.upper.size}, names {len(self.names)}"
             )
-        if not np.all(np.isfinite(self.values)):
-            raise OutOfBounds(f"non-finite parameter values: {self.values}")
         if not np.all(self.lower < self.upper):
             raise OutOfBounds(
                 f"box must satisfy lower < upper strictly, got "
                 f"{self.lower} vs {self.upper}"
             )
-        if np.any(self.values < self.lower) or np.any(self.values > self.upper):
-            raise OutOfBounds(
-                f"values {self.values} outside box [{self.lower}, {self.upper}]"
-            )
+        self.values = self._inside(self.values)
+
+    def _inside(self, values) -> np.ndarray:
+        """values as a float array, checked to be finite and in the box."""
+        values = np.asarray(values, dtype=float)
+        if values.size != self.lower.size:
+            raise OutOfBounds(f"{values.size} parameter values for a box of {self.lower.size}")
+        # A NaN compares false, so one pass over the box also catches it.
+        if not ((values >= self.lower) & (values <= self.upper)).all():
+            if not np.isfinite(values).all():
+                raise OutOfBounds(f"non-finite parameter values: {values}")
+            raise OutOfBounds(f"values {values} outside box [{self.lower}, {self.upper}]")
+        return values
 
     @property
     def dim(self) -> int:
@@ -80,7 +85,10 @@ class ParamVector:
         return self.upper - self.lower
 
     def with_values(self, values: np.ndarray) -> "ParamVector":
-        return ParamVector(np.asarray(values, dtype=float), self.lower, self.upper, self.names)
+        """New values on this box, which was validated when it was built."""
+        new = copy.copy(self)
+        new.values = self._inside(values)
+        return new
 
     def contains(self, values: np.ndarray) -> bool:
         v = np.asarray(values, dtype=float)
@@ -116,29 +124,30 @@ class ContinuousModel:
     closed_form: Optional[Callable[[np.ndarray, float], "DiscreteTransition"]] = None
 
 
-@dataclass
 class DiscreteTransition:
     """W(theta) with its parameter-derivative tensors.
 
     dw_dtheta has shape (D_x, D_x + D_u, D_theta); d2w_dtheta2 appends one
     more theta axis and is symmetric in the two theta indices. Either tensor
     may be None when the source model lacks the corresponding derivatives.
-    For a block of thetas every array has a leading axis of length B.
+    d2W may also be given as a function of no arguments that builds it; it
+    is then built, and checked, when first read. For a block of thetas every
+    array has a leading axis of length B.
     """
 
-    w: np.ndarray
-    dw_dtheta: Optional[np.ndarray]
-    d2w_dtheta2: Optional[np.ndarray]
-    dt: float
-
-    def __post_init__(self):
-        self.w = np.atleast_2d(np.asarray(self.w, dtype=float))
+    def __init__(self, w, dw_dtheta: Optional[np.ndarray], d2w_dtheta2, dt: float):
+        self.w = np.atleast_2d(np.asarray(w, dtype=float))
         if not np.isfinite(self.w).all():
             raise SingularDiscretization(f"non-finite transition matrix: {self.w}")
-        if self.d2w_dtheta2 is not None:
-            d2 = self.d2w_dtheta2
-            if not (d2 == np.swapaxes(d2, -2, -1)).all():
-                raise ValueError("d2W must be symmetric in its theta indices")
+        self.dw_dtheta = dw_dtheta
+        self._d2w = d2w_dtheta2 if callable(d2w_dtheta2) else _symmetric(d2w_dtheta2)
+        self.dt = dt
+
+    @property
+    def d2w_dtheta2(self) -> Optional[np.ndarray]:
+        if callable(self._d2w):
+            self._d2w = _symmetric(self._d2w())
+        return self._d2w
 
     @property
     def dim_x(self) -> int:
@@ -147,6 +156,12 @@ class DiscreteTransition:
     @property
     def dim_z(self) -> int:
         return self.w.shape[-1]
+
+
+def _symmetric(d2w: Optional[np.ndarray]) -> Optional[np.ndarray]:
+    if d2w is not None and not (d2w == np.swapaxes(d2w, -2, -1)).all():
+        raise ValueError("d2W must be symmetric in its theta indices")
+    return d2w
 
 
 def discretize(model: ContinuousModel, theta: ParamVector, dt: float) -> DiscreteTransition:
@@ -196,44 +211,50 @@ def _pow(x, k: int):
     return x**k if isinstance(x, float) else np.float_power(x, k)
 
 
-def _dab_tensors(lk, rl, n, dt: float):
-    """W (1,3), dW (1,3,3) and d2W (1,3,3,3) at one theta given as floats, or
-    with a leading batch axis given as arrays of B values each. Both run the
-    same expressions, so a row of a block equals its theta alone bit for bit.
+def _dab_tensors(lk, rl, n, den, dt: float):
+    """W (1,3), dW (1,3,3) and a builder of d2W (1,3,3,3) at one theta given
+    as floats, or with a leading batch axis given as arrays of B values each;
+    den = L_k + R_L*dt. Every path runs the same expressions, so a row of a
+    block equals its theta alone bit for bit. W and dW are C-contiguous;
+    d2W, 27 of the 39 entries, is built only for the callers that read it.
     """
-    den = lk + rl * dt
     d2 = _pow(den, 2)
-    d3 = _pow(den, 3)
     s = dt / d2
     zero = 0.0 * den
+    batch = np.shape(den)
+
+    def tensor(entries, shape):
+        return np.ascontiguousarray(np.array(entries).T).reshape(*batch, *shape)
+
     w = [lk / den, dt / den, -n * dt / den]
     # dW[z, i] = dt / den^2 * m[z][i], m = [[R_L, -L_k, 0], [-1, -dt, 0], [n, n dt, -den]]
     dw = [s * rl, s * -lk, zero, -s, s * -dt, zero, s * n, s * (n * dt), s * -den]
-    # d2W[z, i, j], symmetric in (i, j)
-    w1_01 = dt * (lk - rl * dt) / d3
-    w2_01 = 2 * dt**2 / d3
-    w3_01 = -2 * n * dt**2 / d3
-    w3_02 = dt / d2
-    w3_12 = dt**2 / d2
-    d2w = [
-        # w1 = L_k / den
-        -2 * rl * dt / d3, w1_01, zero,
-        w1_01, 2 * lk * dt**2 / d3, zero,
-        zero, zero, zero,
-        # w2 = dt / den
-        2 * dt / d3, w2_01, zero,
-        w2_01, 2 * dt**3 / d3, zero,
-        zero, zero, zero,
-        # w3 = -n dt / den
-        -2 * n * dt / d3, w3_01, w3_02,
-        w3_01, zero, w3_12,
-        w3_02, w3_12, zero,
-    ]
-    batch = np.shape(den)
-    return tuple(
-        np.array(entries).T.reshape(*batch, *shape)
-        for entries, shape in ((w, (1, 3)), (dw, (1, 3, 3)), (d2w, (1, 3, 3, 3)))
-    )
+
+    def d2w():
+        # d2W[z, i, j], symmetric in (i, j)
+        d3 = _pow(den, 3)
+        w1_01 = dt * (lk - rl * dt) / d3
+        w2_01 = 2 * dt**2 / d3
+        w3_01 = -2 * n * dt**2 / d3
+        w3_02 = dt / d2
+        w3_12 = dt**2 / d2
+        entries = [
+            # w1 = L_k / den
+            -2 * rl * dt / d3, w1_01, zero,
+            w1_01, 2 * lk * dt**2 / d3, zero,
+            zero, zero, zero,
+            # w2 = dt / den
+            2 * dt / d3, w2_01, zero,
+            w2_01, 2 * dt**3 / d3, zero,
+            zero, zero, zero,
+            # w3 = -n dt / den
+            -2 * n * dt / d3, w3_01, w3_02,
+            w3_01, zero, w3_12,
+            w3_02, w3_12, zero,
+        ]
+        return np.array(entries).T.reshape(*batch, 1, 3, 3, 3)
+
+    return tensor(w, (1, 3)), tensor(dw, (1, 3, 3)), d2w
 
 
 def dab_transition(
@@ -266,9 +287,9 @@ def dab_transition(
     # One theta runs on Python floats, whose arithmetic is cheaper than numpy's.
     lk, rl, n = values.tolist() if values.ndim == 1 else values.T
     den = lk + rl * dt
-    if np.min(den) <= 0:
+    if not (np.asarray(den) > 0).all():
         raise SingularDiscretization(f"L_k + R_L*dt = {np.min(den)} must be positive")
-    return DiscreteTransition(*_dab_tensors(lk, rl, n, dt), dt)
+    return DiscreteTransition(*_dab_tensors(lk, rl, n, den, dt), dt)
 
 
 def dab_model(box: Optional[ParamVector] = None) -> ContinuousModel:

@@ -69,16 +69,16 @@ class AdamConfig:
         return self.beta1**2 / np.sqrt(self.beta2)
 
 
-def epoch_records(n: int, dim: int) -> np.recarray:
-    """n zeroed rows of a run's per-epoch record: the epoch number, the loss
-    and its RMSE, the estimate theta, the gradient and its 2- and infinity
-    norms, for a dim-parameter model."""
+def epoch_records(shape, dim: int) -> np.recarray:
+    """Zeroed rows of a run's per-epoch record, n of them or an array of the
+    given shape: the epoch number, the loss and its RMSE, the estimate theta,
+    the gradient and its 2- and infinity norms, for a dim-parameter model."""
     dtype = [
         ("epoch", np.int64), ("loss", float), ("rmse", float),
         ("theta", float, (dim,)), ("grad", float, (dim,)),
         ("grad_norm2", float), ("grad_norm_inf", float),
     ]
-    return np.zeros(n, dtype=dtype).view(np.recarray)
+    return np.zeros(shape, dtype=dtype).view(np.recarray)
 
 
 @dataclass
@@ -109,7 +109,8 @@ class LossStatistics:
     loss, gradient and hessian take the transition at one theta or at a
     block of thetas and cost O(D^2) per theta, whatever K. Shifting around
     the reference keeps f free of cancellation near it; at the reference
-    itself (dW = 0) f is exactly s / 2.
+    itself (dW = 0) f is exactly s / 2 and the gradient c^T dW/dtheta, which
+    `at_reference` reads without the quadratic terms.
     """
 
     w_ref: np.ndarray
@@ -125,8 +126,8 @@ class LossStatistics:
         k = z.shape[1]
         if k == 0:
             raise EmptyDataset("dataset has no steps")
-        # A block's rows are strided views, and BLAS multiplies them into Z
-        # with other roundings than the contiguous single-theta W.
+        # BLAS multiplies a strided row into Z with other roundings than the
+        # contiguous single-theta W, so a strided block is copied first.
         w_ref = np.ascontiguousarray(w_ref)
         r = w_ref @ z - x
         cross = z @ np.swapaxes(r, -2, -1) / k
@@ -146,6 +147,16 @@ class LossStatistics:
         if trans.dw_dtheta is None:
             raise MissingDerivatives("model provides no dW/dtheta tensor")
         return np.einsum("...xz,...xzi->...i", self._slope(trans), trans.dw_dtheta)
+
+    def at_reference(self, dw_dtheta: Optional[np.ndarray]):
+        """(f, grad) at the reference theta itself, given its dW/dtheta:
+        s / 2 and c^T dW/dtheta. `loss` and `gradient` give the same bits
+        there, since W - W_ref is exactly zero, whenever G and 2c are finite
+        (otherwise their quadratic terms read 0 * inf)."""
+        if dw_dtheta is None:
+            raise MissingDerivatives("model provides no dW/dtheta tensor")
+        slope = np.swapaxes(self.cross, -2, -1)
+        return self.mean_sq / 2, np.einsum("...xz,...xzi->...i", slope, dw_dtheta)
 
     def hessian(self, trans: DiscreteTransition) -> np.ndarray:
         """Gauss-Newton term plus the residual-weighted curvature term."""
@@ -261,11 +272,11 @@ def adam_sweep(
         if any(getattr(config, key) != getattr(first, key) for key in shared):
             raise ConfigError(f"strategy {label!r} differs from {labels[0]!r} in more than alpha")
     b1, b2 = first.beta1, first.beta2
-    records = [epoch_records(first.max_epochs, theta0.dim) for _ in labels]
-    # Each epoch writes its row of every running strategy's record columns in
-    # place; live[row] is the index in `labels` of the block's row `row`.
-    columns = [(r.loss, r.theta, r.grad, r.grad_norm2) for r in records]
-    live = list(range(len(labels)))
+    # Row i of the (S, T) record is strategy i's trace. Each epoch writes the
+    # block's rows in place; live[row] is the strategy of the block's row.
+    records = epoch_records((len(labels), first.max_epochs), theta0.dim)
+    losses, thetas, grads = records.loss, records.theta, records.grad
+    live = np.arange(len(labels))
     alpha = np.stack([configs[label].alpha for label in labels])
     th = np.tile(theta0.values, (len(labels), 1))
     m = np.zeros_like(th)
@@ -273,17 +284,18 @@ def adam_sweep(
     ran = [first.max_epochs] * len(labels)
     reasons = [""] * len(labels)
     for t in range(1, first.max_epochs + 1):
-        trans, stats = _at(th, dataset, model, dt)
-        f = stats.loss(trans)
-        g = stats.gradient(trans)
+        # Each row is its own loss statistics' reference, so the loss and
+        # gradient are read there, in their exact form.
+        trans = transition_values(model, th, dt)
+        f, g = LossStatistics.of(dataset, trans.w).at_reference(trans.dw_dtheta)
         finite = np.isfinite(f) & np.isfinite(g).all(axis=1)
         if not finite.all():
             # Stopped rows leave the block, so no later arithmetic meets them.
-            for row in np.flatnonzero(~finite):
-                ran[live[row]] = t - 1
-                reasons[live[row]] = f"non-finite loss/gradient at epoch {t}"
-            live = [i for i, ok in zip(live, finite) if ok]
-            if not live:
+            for i in live[~finite]:
+                ran[i] = t - 1
+                reasons[i] = f"non-finite loss/gradient at epoch {t}"
+            live = live[finite]
+            if not live.size:
                 break
             f, g, th, m, v, alpha = (a[finite] for a in (f, g, th, m, v, alpha))
         b1t = b1 * first.lambda_decay ** (t - 1)
@@ -292,17 +304,15 @@ def adam_sweep(
         m_hat = m / (1.0 - b1**t)
         v_hat = v / (1.0 - b2**t)
         th = theta0.clip(th - alpha * m_hat / (np.sqrt(v_hat) + first.epsilon))
-        for row, i in enumerate(live):
-            losses, thetas, grads, norms2 = columns[i]
-            # The 2-norm stays per row: a reduction over the block's gradient
-            # rows does not round like the 1-D norm's dot product.
-            losses[t - 1], thetas[t - 1], grads[t - 1] = f[row], th[row], g[row]
-            norms2[t - 1] = np.linalg.norm(g[row], 2)
+        losses[live, t - 1], thetas[live, t - 1], grads[live, t - 1] = f, th, g
     traces = {}
     for i, label in enumerate(labels):
-        rec = records[i][: ran[i]]
+        rec = records[i, : ran[i]]
         rec.epoch = np.arange(1, ran[i] + 1)
         rec.rmse = np.sqrt(2.0 * rec.loss)
+        # np.linalg.norm(g, 2)'s own 1-D dot, row by row: a reduction over
+        # the rows would round otherwise.
+        rec.grad_norm2 = np.sqrt([g.dot(g) for g in rec.grad])
         rec.grad_norm_inf = np.max(np.abs(rec.grad), axis=1)
         traces[label] = TrainingTrace(rec, label, theta0, failed=bool(reasons[i]),
                                       failure_reason=reasons[i])

@@ -10,8 +10,17 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 import pannkit as pk
-from pannkit.cli import OUT_ENV_VAR, ExperimentConfig, default_config, load_config, main
+from pannkit.cli import (
+    OUT_ENV_VAR,
+    ExperimentConfig,
+    default_config,
+    load_config,
+    main,
+    run_strategy_sweep,
+    synth_role,
+)
 from pannkit.errors import ConfigError
+from pannkit.training import AdamConfig, regret_bound
 
 
 @pytest.fixture(autouse=True)
@@ -276,15 +285,37 @@ def test_train_writes_trace_summary_comparison(tmp_path):
     assert len(trace_lines) == 26, "25 epochs plus the header"
     summary = json.loads(Path("t/train/S3/summary.json").read_text())
     for key in [
-        "rates", "diagnostics", "regret", "monitor",
-        "regret_bound_curve", "regret_bound_dominates", "final_theta",
+        "rates", "diagnostics", "regret", "monitor", "regret_bound_dominates", "final_theta",
     ]:
         assert key in summary, f"summary missing {key}"
     assert summary["monitor"]["satisfied"] is True
-    assert len(summary["regret_bound_curve"]) == 25
+    assert "regret_bound_curve" not in summary and "curve" not in summary["regret"]
     comparison = json.loads(Path("t/train/comparison.json").read_text())
     assert list(comparison["strategies"]) == ["S3"]
     assert comparison["ginf"] > 0 and comparison["l2theta_star"] > 0
+
+
+def test_summary_curves_rebuild_from_the_written_files(tmp_path):
+    """The two curves a summary leaves out are rebuilt, bit for bit, from
+    trace.csv and the summary: regret.curve is the cumulative loss minus
+    f_star, regret_bound_curve is regret_bound of the rates, monitor and
+    config."""
+    path = small_config(tmp_path, strategies=["S1", "S3", "S5"])
+    assert main(["train", "--config", path, "--out", "t"]) == 0
+    config = load_config(path)
+    _, in_memory = run_strategy_sweep(config, synth_role(config, "train"))
+    for label, want in in_memory.items():
+        summary = json.loads(Path(f"t/train/{label}/summary.json").read_text())
+        trace = np.loadtxt(f"t/train/{label}/trace.csv", delimiter=",", skiprows=1, ndmin=2)
+        curve = np.cumsum(trace[:, 1] - summary["regret"]["f_star"])
+        monitor = summary["monitor"]
+        bound = regret_bound(
+            AdamConfig(np.array(summary["rates"]), **summary["config"]["adam"]),
+            d=len(summary["rates"]), big_d=monitor["D_hat"], big_d_inf=monitor["Dinf_hat"],
+            ginf=monitor["Ginf_hat"], t=np.arange(1, summary["epochs_run"] + 1),
+        )
+        assert curve.tobytes() == want["regret"]["curve"].tobytes(), label
+        assert bound.tobytes() == want["regret_bound_curve"].tobytes(), label
 
 
 def test_train_strategy_flag_overrides_config(tmp_path):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import pannkit as pk
 from pannkit.errors import OutOfBounds, SingularDiscretization, StepTooLarge
-from pannkit.statespace import discretize
+from pannkit.statespace import DiscreteTransition, discretize
 
 DT = pk.DEFAULT_DT
 
@@ -29,6 +29,20 @@ def test_param_vector_rejects_out_of_box():
 def test_param_vector_rejects_nonfinite():
     with pytest.raises(OutOfBounds):
         pk.dab_params([np.nan, 1.8, 1.0])
+
+
+def test_with_values_checks_only_the_new_values(star):
+    moved = star.with_values([100e-6, 1.0, 1.1])
+    assert moved.values.tolist() == [100e-6, 1.0, 1.1] and moved.lower is star.lower
+    assert star.values.tolist() == [63e-6, 1.8, 1.0], "the original keeps its values"
+    for values, message in [
+        ([np.nan, 1.8, 1.0], "non-finite"),
+        ([63e-6, np.inf, 1.0], "non-finite"),
+        ([63e-6, 1.8, 1.5], "outside box"),
+        ([63e-6, 1.8], "parameter values"),
+    ]:
+        with pytest.raises(OutOfBounds, match=message):
+            star.with_values(values)
 
 
 def test_param_vector_clip_and_contains(star):
@@ -234,6 +248,22 @@ def test_d2w_matches_numeric_derivative(star, ranges):
             scale = max(np.max(np.abs(trans.d2w_dtheta2)), 1e-300)
             rel = np.max(np.abs(fd_slice - an_slice)) / scale
             assert rel <= 1e-6, f"d2W mismatch {rel:.3e} at theta {values}, axis {j}"
+
+
+def test_d2w_is_built_and_checked_when_first_read():
+    built = []
+    asymmetric = np.zeros((1, 3, 3, 3))
+    asymmetric[0, 0, 0, 1] = 1.0
+
+    def build():
+        built.append(True)
+        return asymmetric
+
+    trans = DiscreteTransition(np.array([[0.5, 1.0, 0.0]]), None, build, DT)
+    assert not built
+    with pytest.raises(ValueError, match="symmetric"):
+        trans.d2w_dtheta2
+    assert built
 
 
 def test_d2w_is_symmetric(star):

@@ -317,6 +317,29 @@ def assert_same_run(got, want):
     assert (got.failed, got.failure_reason) == (want.failed, want.failure_reason)
 
 
+def plain_adam(dataset, model, theta0, config):
+    """Box-projected Adam written out one epoch at a time on the public
+    per-theta loss and gradient: the records and failure reason of a run."""
+    records = epoch_records(config.max_epochs, theta0.dim)
+    theta, m, v = theta0, np.zeros(theta0.dim), np.zeros(theta0.dim)
+    for t in range(1, config.max_epochs + 1):
+        f, g = loss(theta, dataset, model, DT), gradient(theta, dataset, model, DT)
+        if not (np.isfinite(f) and np.isfinite(g).all()):
+            return records[: t - 1], f"non-finite loss/gradient at epoch {t}"
+        b1t = config.beta1 * config.lambda_decay ** (t - 1)
+        m = b1t * m + (1.0 - b1t) * g
+        v = config.beta2 * v + (1.0 - config.beta2) * g * g
+        m_hat = m / (1.0 - config.beta1**t)
+        v_hat = v / (1.0 - config.beta2**t)
+        step = config.alpha * m_hat / (np.sqrt(v_hat) + config.epsilon)
+        theta = theta0.with_values(np.clip(theta.values - step, theta0.lower, theta0.upper))
+        row = records[t - 1]
+        row.epoch, row.loss, row.rmse = t, f, np.sqrt(2.0 * f)
+        row.theta, row.grad = theta.values, g
+        row.grad_norm2, row.grad_norm_inf = np.linalg.norm(g, 2), np.max(np.abs(g))
+    return records, ""
+
+
 def test_sweep_rows_equal_solo_runs(star, model, train_dataset):
     """Lockstep training changes no bit of any strategy's record, S5 and S6
     (which cross the whole box in a step) included."""
@@ -332,7 +355,8 @@ def test_sweep_rows_equal_solo_runs(star, model, train_dataset):
 def test_sweep_stops_an_overflowing_strategy_alone(star, train_dataset):
     """A generic model whose dB/dtheta overflows only at R_L > 2.5, where of
     the six only S5 goes: S5 stops with its solo run's records and reason,
-    the others run every epoch as they do alone."""
+    the others run every epoch as they do alone, and every run equals the
+    plain epoch loop's."""
     dab = pk.dab_model()
 
     def db(v):
@@ -349,6 +373,8 @@ def test_sweep_stops_an_overflowing_strategy_alone(star, train_dataset):
     for label, config in configs.items():
         solo = adam_train(train_dataset, model, DT, theta0, config, label)
         assert_same_run(traces[label], solo)
+        records, reason = plain_adam(train_dataset, model, theta0, config)
+        assert (solo.records.tobytes(), solo.failure_reason) == (records.tobytes(), reason)
         if label == "S5":
             assert solo.failed and 0 < len(solo.records) < config.max_epochs
             assert solo.failure_reason == f"non-finite loss/gradient at epoch {len(solo.records) + 1}"
@@ -374,21 +400,42 @@ def test_sweep_takes_configs_differing_only_in_alpha(star, model, train_dataset)
 
 
 def test_block_statistics_equal_solo_statistics(star, train_dataset):
-    """Statistics referenced at a dab_transition block, whose rows are strided
-    views, equal those referenced at each theta alone bit for bit, and so do
-    the loss and gradient read from them: BLAS rounds a strided row times Z
-    otherwise, so the kernel multiplies a contiguous copy."""
+    """Statistics referenced at a block of transitions whose rows are strided
+    views equal those referenced at each theta alone bit for bit, and so do
+    the loss and gradient read from them, in the general form and at the
+    reference: BLAS rounds a strided row times Z otherwise, so the kernel
+    multiplies a contiguous copy."""
     thetas = np.random.default_rng(41).uniform(star.lower, star.upper, size=(6, 3))
     block = pk.dab_transition(thetas, DT)
-    assert not block.w[0].flags.c_contiguous
-    stats = LossStatistics.of(train_dataset, block.w)
+    strided = np.asfortranarray(block.w)
+    assert np.array_equal(strided, block.w) and not strided[0].flags.c_contiguous
+    stats = LossStatistics.of(train_dataset, strided)
     f, g = stats.loss(block), stats.gradient(block)
+    f_ref, g_ref = stats.at_reference(block.dw_dtheta)
+    assert f_ref.tobytes() == f.tobytes() and g_ref.tobytes() == g.tobytes()
     for i, values in enumerate(thetas):
         trans = pk.dab_transition(values, DT)
         solo = LossStatistics.of(train_dataset, trans.w)
         assert stats.cross[i].tobytes() == solo.cross.tobytes()
         assert stats.mean_sq[i] == solo.mean_sq
         assert f[i] == solo.loss(trans) and g[i].tobytes() == solo.gradient(trans).tobytes()
+
+
+def test_sweep_equals_a_plain_epoch_loop(star, model):
+    """adam_sweep's records equal a plain per-theta Adam loop's byte for
+    byte, for all six strategies on a noisy 8-segment dataset; S5 and S6
+    cross the whole box in a step."""
+    dataset = pk.synthesize_dataset(
+        star, pk.draw_modulation_specs(8, 7), noise_sigma=0.05, seed=7
+    )
+    theta0 = star.with_values([120e-6, 0.903, 1.12])
+    configs = sweep_configs(60)
+    traces = adam_sweep(dataset, model, DT, theta0, configs)
+    for label, config in configs.items():
+        records, reason = plain_adam(dataset, model, theta0, config)
+        assert len(records) == config.max_epochs and not reason
+        assert traces[label].records.tobytes() == records.tobytes(), label
+        assert (traces[label].failed, traces[label].failure_reason) == (False, "")
 
 
 def test_adam_rejects_alpha_size_mismatch(star, model, train_dataset):
