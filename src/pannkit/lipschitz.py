@@ -13,7 +13,10 @@ Three constants are covered:
 
 The suprema are evaluated by deterministic dense sampling of the theta box
 (uniform draws plus all box corners, the center, and the reference point), so
-they are concrete checkable numbers. The MC estimators draw pairs in blocks
+they are concrete checkable numbers. Under the 2-norm a Frobenius bound on
+each term rules out most points before any SVD runs, and the maximum stays
+the one every point's SVD gives, bit for bit. A non-finite term or MC ratio
+raises NonFinite naming its sample. The MC estimators draw pairs in blocks
 of 512, each block from one substream keyed by its ordinal, with a fixed draw
 layout per sample: sample i depends only on (seed, i), so the running maximum
 over any prefix is independent of evaluation order. Suprema and pairs are
@@ -35,6 +38,7 @@ from .errors import (
     DegenerateDomain,
     EmptyTrace,
     MissingDerivatives,
+    NonFinite,
     NonPositiveBound,
 )
 from .norms import NormKind, d2w_norm, dw_norm, mat_norm, max_entry_norm, vec_norm
@@ -101,12 +105,48 @@ def theoretical_L1z(trans: DiscreteTransition, kind: NormKind = NormKind.INFINIT
     return mat_norm(trans.w, kind)
 
 
+def _frobenius_bound(x: np.ndarray) -> np.ndarray:
+    """Per row of a block, the Frobenius norm of the row's object times
+    1 + 2^-40: at least every 2-norm `norms` computes for that object."""
+    flat = x.reshape(len(x), -1)
+    return np.sqrt(np.einsum("ij,ij->i", flat, flat)) * (1.0 + 2.0**-40)
+
+
+def _require_finite(values: np.ndarray, what: str, where: Callable[[int], str]) -> None:
+    """NonFinite naming the first entry of `values` that is not finite;
+    where(i) describes the sample behind entry i."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise NonFinite(f"{what} is {values[i]} at {where(i)}")
+
+
+def _max_term(term, zn2: float, kind: NormKind, tensors: list, samples: np.ndarray, rows,
+              best: float) -> float:
+    """max(best, term) over the given rows of a block, with the exact norms
+    (an SVD each under the 2-norm); NonFinite names the first sample whose
+    term is not finite."""
+    norms = (mat_norm, dw_norm, d2w_norm)
+    values = term(zn2, *(norm(t[rows], kind) for norm, t in zip(norms, tensors)))
+    _require_finite(values, "sup term", lambda i: f"theta sample {samples[rows][i]}")
+    return float(np.max(values, initial=best))
+
+
 def _sup_over_domain(
     domain: DomainSpec, model: ContinuousModel, dt: float, kind: NormKind, n_samples: int,
-    seed: int, term: Callable[[np.ndarray, float, DiscreteTransition], np.ndarray],
+    seed: int, term: Callable[..., np.ndarray], second_order: bool = False,
 ) -> float:
-    """max(0, term(||W - W*||, ||z||^2, transitions)) over sample_thetas,
-    evaluated one block of thetas at a time."""
+    """max(0, term(||z||^2, ||W - W*||, ||dW||[, ||d2W||])) over sample_thetas,
+    evaluated one block of thetas at a time; NonFinite if a term is not.
+
+    Under the 2-norm a block is first scored with each norm replaced by the
+    _frobenius_bound of its object. Rounding is monotone in each non-negative
+    factor of a term, so a row's score is at least its term, and a row whose
+    score is below the running maximum cannot raise it. The norms, and their
+    SVDs, are evaluated only on the top-scoring row and then on the rows
+    whose score reaches the maximum so far; a NaN score is never pruned. The
+    maximum is the one evaluating every row gives, bit for bit.
+    """
     w_star = transition_values(model, domain.theta_star, dt).w
     zn2 = vec_norm(domain.z_bound, kind) ** 2
     thetas = sample_thetas(domain, n_samples, seed)
@@ -115,7 +155,21 @@ def _sup_over_domain(
         trans = transition_values(model, thetas[start : start + _BLOCK], dt)
         if trans.dw_dtheta is None:
             raise MissingDerivatives("model provides no dW/dtheta tensor")
-        best = max(best, float(np.max(term(mat_norm(trans.w - w_star, kind), zn2, trans))))
+        tensors = [trans.w - w_star, trans.dw_dtheta]
+        if second_order:
+            if trans.d2w_dtheta2 is None:
+                raise MissingDerivatives("model provides no d2W/dtheta2 tensor")
+            tensors.append(trans.d2w_dtheta2)
+        samples = np.arange(start, start + len(trans.w))
+        rows = slice(None)
+        if kind == NormKind.TWO:
+            score = term(zn2, *map(_frobenius_bound, tensors))
+            top = int(np.argmax(score))  # the first NaN, if any
+            if np.isnan(score[top]):  # an SVD refuses NaN entries
+                raise NonFinite(f"sup term is nan at theta sample {samples[top]}")
+            best = _max_term(term, zn2, kind, tensors, samples, [top], best)
+            rows = np.flatnonzero(score >= best)
+        best = _max_term(term, zn2, kind, tensors, samples, rows, best)
     return best
 
 
@@ -134,8 +188,7 @@ def theoretical_L1theta(
     it bounds loss differences via the mean value theorem.
     """
     return _sup_over_domain(
-        domain, model, dt, kind, n_samples, seed,
-        lambda gap, zn2, trans: gap * zn2 * dw_norm(trans.dw_dtheta, kind),
+        domain, model, dt, kind, n_samples, seed, lambda zn2, gap, dwn: gap * zn2 * dwn
     )
 
 
@@ -150,15 +203,11 @@ def theoretical_L2theta(
     """sup of ||z||^2 ||dW||^2 + ||W - W*|| ||z||^2 ||d2W||, the Hessian
     norm bound. On a collapsed domain the second term vanishes."""
 
-    def term(gap, zn2, trans):
-        if trans.d2w_dtheta2 is None:
-            raise MissingDerivatives("model provides no d2W/dtheta2 tensor")
+    def term(zn2, gap, dwn, d2wn):
         # float_power squares as Python's float ** 2 does, bit for bit.
-        return zn2 * np.float_power(dw_norm(trans.dw_dtheta, kind), 2) + gap * zn2 * d2w_norm(
-            trans.d2w_dtheta2, kind
-        )
+        return zn2 * np.float_power(dwn, 2) + gap * zn2 * d2wn
 
-    return _sup_over_domain(domain, model, dt, kind, n_samples, seed, term)
+    return _sup_over_domain(domain, model, dt, kind, n_samples, seed, term, second_order=True)
 
 
 @dataclass
@@ -305,7 +354,8 @@ def mc_estimate_lipschitz(
     f maps one point to a vector, or with batched=True a (B, dim) block of
     points to a (B, m) block of vectors. pairing: "random" (independent
     pairs), "local" (a plus a delta-sized perturbation), or "mixed"
-    (alternating, the default). Coincident pairs are skipped and counted.
+    (alternating, the default). Coincident pairs are skipped and counted; a
+    non-finite ratio raises NonFinite naming its sample.
     Sample i depends only on (seed, i), so the maximum over any prefix is
     reduction-order independent.
     """
@@ -325,14 +375,18 @@ def mc_estimate_lipschitz(
         a, b = _draw_pairs(sampler, pairing, seed, start // _BLOCK, kind, delta)
         a, b = a[: n_samples - start], b[: n_samples - start]
         dist = vec_norm(a - b, kind)
-        kept = dist >= 1e-300
-        n_skipped += int(np.count_nonzero(~kept))
-        if not np.any(kept):
+        kept = np.flatnonzero(dist >= 1e-300)
+        n_skipped += len(dist) - len(kept)
+        if not len(kept):
             continue
         a, b, dist = a[kept], b[kept], dist[kept]
         fa = np.reshape(block_f(a), (len(a), -1))
         fb = np.reshape(block_f(b), (len(b), -1))
         ratio = vec_norm(fa - fb, kind) / dist
+        _require_finite(
+            ratio, f"{constant_name} ratio",
+            lambda i: f"sample {start + kept[i]} (a = {a[i]}, b = {b[i]})",
+        )
         j = int(np.argmax(ratio))
         if ratio[j] > best:
             best = float(ratio[j])

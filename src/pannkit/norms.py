@@ -15,6 +15,10 @@ bound-dominance inequality in the test suite is an actual theorem:
 Every helper reduces over the trailing axes its object occupies: one object
 gives a float, a batch of them (leading axes) gives an array of norms, each
 equal bit for bit to the float of that object alone.
+
+Each 2-norm here is at most the Frobenius norm of its whole tensor (a
+spectral norm is at most the Frobenius norm, and sqrt(sum_ij F_ij^2) is the
+tensor's), which the 2-norm suprema use to rule out points before any SVD.
 """
 from __future__ import annotations
 

@@ -62,7 +62,8 @@ class Trajectory:
             )
         if k >= 1:
             dts = np.diff(self.times)
-            if np.any(dts <= 0) or not np.allclose(dts, dts[0], rtol=1e-9, atol=0.0):
+            # allclose(dts, dts[0], rtol=1e-9, atol=0), without its overhead
+            if np.any(dts <= 0) or not np.all(np.abs(dts - dts[0]) <= 1e-9 * dts[0]):
                 raise ShapeMismatch("trajectory times must increase uniformly")
 
     @property
@@ -78,21 +79,14 @@ def step(trans: DiscreteTransition, z: StepInput) -> np.ndarray:
     return trans.w @ zz
 
 
-def _matvec(rows: list, z: list) -> list:
-    """W z on floats, each row summed left to right: (w_0 z_0 + w_1 z_1) + ..."""
-    out = []
-    for row in rows:
-        acc = row[0] * z[0]
-        for j in range(1, len(z)):
-            acc += row[j] * z[j]
-        out.append(acc)
-    return out
-
-
 def rollout_free(trans: DiscreteTransition, x0: np.ndarray, inputs: np.ndarray) -> Trajectory:
     """Free-running rollout: each step feeds on the previous prediction and
     equals w_0 x + w_1 u_0 + ... summed left to right (a BLAS matvec may fuse
-    or reorder). Overflow is checked once, at the end, naming the first step."""
+    or reorder). The input terms w[i, D_x + j] * u_j of every step are formed
+    at once, before the loop: an elementwise product rounds as a Python
+    float product does, so the loop computes only the state terms and adds
+    the input terms in that order. Overflow is checked once, at the end,
+    naming the first step."""
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
     d_x = trans.dim_x
@@ -104,13 +98,21 @@ def rollout_free(trans: DiscreteTransition, x0: np.ndarray, inputs: np.ndarray) 
     k_steps = inputs.shape[1]
     if k_steps < 1:
         raise ShapeMismatch("rollout needs at least one input column")
-    rows = trans.w.tolist()
-    x = x0.tolist()
-    columns = [x]
-    for u in inputs.T.tolist():
-        x = _matvec(rows, x + u)
-        columns.append(x)
-    states = np.array(columns).T
+    # Each row's state coefficients, and its input terms cols[j][k] for every
+    # input j and step k.
+    rows = list(zip(trans.w[:, :d_x].tolist(), (trans.w[:, d_x:, None] * inputs).tolist()))
+    flat = x0.tolist()  # the states, one step after another
+    for k in range(k_steps):
+        x = []
+        for row, cols in rows:
+            acc = row[0] * flat[-d_x]
+            for j in range(1, d_x):
+                acc += row[j] * flat[j - d_x]
+            for col in cols:
+                acc += col[k]
+            x.append(acc)
+        flat += x
+    states = np.array(flat).reshape(k_steps + 1, d_x).T
     in_range = np.all(np.abs(states[:, 1:]) <= _OVERFLOW_LIMIT, axis=0)
     if not np.all(in_range):
         raise NonFinite(

@@ -1,11 +1,14 @@
 """Bound calculators and MC estimators: exact identities, scaling laws,
 dominance over empirical ratios, and the training monitor."""
+import re
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import pannkit as pk
-from pannkit.errors import BoundViolation, DegenerateDomain, MissingDerivatives
+from pannkit.errors import BoundViolation, DegenerateDomain, MissingDerivatives, NonFinite
 from pannkit.lipschitz import LipschitzReport, dab_l1z_values, sample_thetas, theorem2_monitor
 from pannkit.norms import NormKind, d2w_norm, dw_norm, mat_norm, vec_norm
 from pannkit.statespace import DiscreteTransition, ParamVector
@@ -53,17 +56,20 @@ def test_reference_l1z_straddles_one(star):
     a=st.lists(st.floats(-100, 100), min_size=3, max_size=3),
     b=st.lists(st.floats(-100, 100), min_size=3, max_size=3),
 )
+# A subnormal weight: the quotient rounded in floats lands 1.4e-11 above it.
+@example(entries=[0.0, 2.225073858507e-311, 0.0], a=[0, 0, 0], b=[0, 0.0625, 0])
 @settings(max_examples=200, deadline=None)
 def test_linear_map_ratio_never_beats_induced_norm(entries, a, b):
     w = np.array([entries])
     trans = DiscreteTransition(w, None, None, DT)
     bound = pk.theoretical_L1z(trans, NormKind.INFINITY)
-    a, b = np.array(a), np.array(b)
-    diff = np.max(np.abs(a - b))
+    diff = np.max(np.abs(np.array(a) - np.array(b)))
     if diff < 1e-12:
         return
-    ratio = np.max(np.abs(w @ a - w @ b)) / diff
-    assert ratio <= bound * (1 + 1e-12), f"ratio {ratio} above bound {bound}"
+    # The quotient |w a - w b| / ||a - b||_inf, exactly, from the float inputs.
+    gaps = [Fraction(x) - Fraction(y) for x, y in zip(a, b)]
+    ratio = abs(sum(Fraction(c) * g for c, g in zip(entries, gaps))) / max(map(abs, gaps))
+    assert ratio <= bound * (1 + 1e-12), f"ratio {float(ratio)} above bound {bound}"
 
 
 def test_mc_estimate_is_tight_for_linear_map(star):
@@ -125,6 +131,24 @@ def test_mc_batched_and_per_point_maps_give_identical_reports(star, pairing, kin
     assert per_point == batched
 
 
+def test_mc_estimate_names_the_first_non_finite_sample():
+    """A NaN ratio is neither dropped by the running maximum nor mistaken
+    for a coincident pair: the estimate raises NonFinite naming the first
+    NaN sample, which a prefix of the run reaches only when it includes it."""
+    def f(block):
+        return np.where(np.abs(block[:, :1]) > 0.99, np.nan, block[:, :1])
+
+    sampler = pk.BoxSampler(-np.ones(2), np.ones(2))
+    kw = dict(seed=3, batched=True)
+    with pytest.raises(NonFinite) as raised:
+        pk.mc_estimate_lipschitz(f, sampler, n_samples=2000, **kw)
+    first = int(re.search(r"at sample (\d+) ", str(raised.value)).group(1))
+    assert first >= 2
+    assert pk.mc_estimate_lipschitz(f, sampler, n_samples=first, **kw).empirical_max <= 1.0
+    with pytest.raises(NonFinite, match=f"at sample {first} "):
+        pk.mc_estimate_lipschitz(f, sampler, n_samples=first + 1, **kw)
+
+
 def test_mc_estimate_rejects_degenerate_setups():
     sampler = pk.BoxSampler(np.zeros(2), np.zeros(2))
     with pytest.raises(DegenerateDomain):
@@ -179,14 +203,17 @@ def test_sample_thetas_collapsed_returns_star(box_domain):
 
 
 def scalar_loop_sup(domain, model, kind, n_samples, seed, term):
-    """The suprema's reference: one transition and one set of norms per theta."""
+    """The suprema's reference: one transition and one set of norms, a full
+    SVD each under the 2-norm, per theta. Returns the maximum and its theta."""
     w_star = pk.transition_values(model, domain.theta_star, DT).w
     zn2 = vec_norm(domain.z_bound, kind) ** 2
-    best = 0.0
+    best, at = 0.0, None
     for values in sample_thetas(domain, n_samples, seed):
         trans = pk.transition_values(model, values, DT)
-        best = max(best, term(mat_norm(trans.w - w_star, kind), zn2, trans, kind))
-    return best
+        value = term(mat_norm(trans.w - w_star, kind), zn2, trans, kind)
+        if value > best:
+            best, at = value, values
+    return best, at
 
 
 def l1theta_term(gap, zn2, trans, kind):
@@ -199,14 +226,116 @@ def l2theta_term(gap, zn2, trans, kind):
     )
 
 
+BUMP_M = np.array([[0.9, -0.4, 0.3, 0.2], [0.1, 0.7, -0.5, 0.6]])
+BUMP_N = np.array([[0.02, 0.0, -0.01, 0.03], [0.0, 0.01, 0.02, 0.0]])
+
+
+def bump_model(nan_above=None):
+    """D_x = 2, D_u = 2, two parameters: W(t) = W0 + M q(t) + N t_0 with
+    q = t_0 (1 - t_0) t_1 (1 - t_1), in closed form for one theta or a block,
+    elementwise, so a block row equals its theta alone. Over [0, 1]^2 from
+    theta* = 0 both suprema peak inside the box, where W - W* and d2W are
+    large and dW is small. With nan_above, dW is NaN wherever t_0 > nan_above."""
+    w0 = np.array([[0.5, 0.1, 0.02, -0.03], [-0.2, 0.4, 0.01, 0.05]])
+
+    def closed_form(values, dt):
+        t0, t1 = np.moveaxis(np.asarray(values, dtype=float), -1, 0)
+        t0, t1 = t0[..., None, None], t1[..., None, None]
+        q0, q1 = t0 * (1 - t0), t1 * (1 - t1)
+        dq0, dq1 = (1 - 2 * t0) * q1, q0 * (1 - 2 * t1)
+        dw = np.stack([BUMP_M * dq0 + BUMP_N, BUMP_M * dq1], axis=-1)
+        if nan_above is not None:
+            dw = np.where((t0 > nan_above)[..., None], np.nan, dw)
+        cross = BUMP_M * ((1 - 2 * t0) * (1 - 2 * t1))
+        d2w = np.stack(
+            [np.stack([BUMP_M * (-2 * q1), cross], axis=-1),
+             np.stack([cross, BUMP_M * (-2 * q0)], axis=-1)],
+            axis=-1,
+        )
+        return DiscreteTransition(w0 + BUMP_M * (q0 * q1) + BUMP_N * t0, dw, d2w, dt)
+
+    return pk.ContinuousModel(2, 2, 2, None, None, closed_form=closed_form)
+
+
+def ramp_model():
+    """D_x = 1, one parameter: W(t) = w0 + m t + p t^2, elementwise in closed
+    form. Every object the 2-norms see is a single row or column, whose
+    spectral norm equals its Frobenius norm, and the two round apart by an
+    ulp or two either way."""
+    w0, m, p = np.array([0.5, 0.1, -0.1]), np.array([0.3, -0.7, 0.2]), np.array([0.05, 0.11, -0.4])
+
+    def closed_form(values, dt):
+        t = np.asarray(values, dtype=float)[..., None, :]
+        w = w0 + m * t + p * (t * t)
+        d2w = np.broadcast_to(2 * p, w.shape)[..., None, None]
+        return DiscreteTransition(w, (m + 2 * p * t)[..., None], d2w, dt)
+
+    return pk.ContinuousModel(1, 2, 1, None, None, closed_form=closed_form)
+
+
+def generic_model():
+    """D_x = 2 on the generic route (dW from dA and dB; no d2W)."""
+    def da(v):
+        out = np.zeros((2, 2, 2))
+        out[0, 0, 0], out[1, 1, 1] = -2e4, -3e4
+        return out
+
+    def db(v):
+        out = np.zeros((2, 2, 2))
+        out[0, 1, 0] = -1e3
+        return out
+
+    return pk.ContinuousModel(
+        dim_x=2, dim_u=2, dim_theta=2,
+        a_of=lambda v: np.array([[-2e4 * v[0], 1e4], [-1e4, -3e4 * v[1]]]),
+        b_of=lambda v: np.array([[1e3, -1e3 * v[0]], [0.0, 5e2]]),
+        da_dtheta=da, db_dtheta=db,
+    )
+
+
 @pytest.mark.parametrize("kind", [NormKind.INFINITY, NormKind.TWO])
 def test_batched_suprema_equal_the_scalar_loop(box_domain, model, kind):
-    for domain in (box_domain, box_domain.collapsed()):
-        for fn, term in (
-            (pk.theoretical_L1theta, l1theta_term), (pk.theoretical_L2theta, l2theta_term)
-        ):
-            want = scalar_loop_sup(domain, model, kind, 1100, 4, term)
-            assert fn(domain, model, DT, kind, n_samples=1100, seed=4) == want
+    """The blocked suprema, whose 2-norm path runs SVDs only on the rows
+    that can still win, equal a full evaluation per theta bit for bit: on
+    the DAB box, collapsed, and so narrow (1e-13 relative) that every term
+    ties with the maximum to within the prune's margin; on a rank-one model
+    over a box one ulp wide, where the plain Frobenius norm rounds below the
+    SVD's and a prune without the margin returns a value an ulp low; on a
+    D_x = 2 model whose maxima are interior; and on a generic D_x = 2 model
+    (L1theta only: the generic route has no d2W)."""
+    lower = np.array([150e-6, 2.5, 1.1])
+    narrow = pk.DomainSpec(lower, lower * (1 + 1e-13), box_domain.z_bound, box_domain.theta_star)
+    ulp = pk.DomainSpec([0.6727255268314554], [0.6727255268314555], [1.0, 2.0, 3.0], [0.0])
+    z_bound = [3.0, 2.0, 200.0, 200.0]
+    both = ((pk.theoretical_L1theta, l1theta_term), (pk.theoretical_L2theta, l2theta_term))
+    # (domain, model, constants, draws): 1100 draws span three blocks; the
+    # ulp box needs only its corners, center and theta*.
+    cases = [
+        (box_domain, model, both, 1100),
+        (box_domain.collapsed(), model, both, 1100),
+        (narrow, model, both, 300),
+        (ulp, ramp_model(), both, 0),
+        (pk.DomainSpec([0.0, 0.0], [1.0, 1.0], z_bound, [0.0, 0.0]), bump_model(), both, 300),
+        (pk.DomainSpec([0.5, 0.5], [1.5, 1.5], z_bound, [1.0, 1.0]), generic_model(), both[:1], 300),
+    ]
+    for i, (domain, mdl, fns, n) in enumerate(cases):
+        for fn, term in fns:
+            want, at = scalar_loop_sup(domain, mdl, kind, n, 4, term)
+            assert fn(domain, mdl, DT, kind, n_samples=n, seed=4) == want, (i, fn.__name__)
+            if i == 4:
+                assert np.all((0.0 < at) & (at < 1.0)), f"maximum at {at} is not interior"
+
+
+@pytest.mark.parametrize("kind", [NormKind.INFINITY, NormKind.TWO])
+@pytest.mark.parametrize("fn", [pk.theoretical_L1theta, pk.theoretical_L2theta])
+def test_suprema_name_the_first_non_finite_sample(kind, fn):
+    """A NaN in dW is not dropped by the running maximum, nor pruned: the
+    block reaches the exact pass and raises NonFinite naming its first
+    NaN sample."""
+    domain = pk.DomainSpec([0.0, 0.0], [1.0, 1.0], [3.0, 2.0, 200.0, 200.0], [0.0, 0.0])
+    first = int(np.argmax(sample_thetas(domain, 1100, 4)[:, 0] > 0.97))
+    with pytest.raises(NonFinite, match=f"theta sample {first}$"):
+        fn(domain, bump_model(nan_above=0.97), DT, kind, n_samples=1100, seed=4)
 
 
 def test_l1theta_vanishes_on_collapsed_domain(box_domain, model):

@@ -108,6 +108,36 @@ def test_rollout_names_first_overflowing_step():
         rollout_free(trans, [0.0], inputs)
 
 
+def matvec_loop(w, x0, inputs):
+    """The free rollout's reference: each step W [x; u] on Python floats,
+    each row summed left to right."""
+    rows, x, states = w.tolist(), list(x0), [list(x0)]
+    for u in inputs.T.tolist():
+        z, x = x + u, []
+        for row in rows:
+            acc = row[0] * z[0]
+            for j in range(1, len(z)):
+                acc += row[j] * z[j]
+            x.append(acc)
+        states.append(x)
+    return np.array(states).T
+
+
+@pytest.mark.parametrize("d_u", [0, 1, 2])
+@pytest.mark.parametrize("d_x", [1, 2])
+def test_rollout_equals_a_matvec_order_loop(d_x, d_u):
+    """Forming the input terms before the loop changes no bit: weights and
+    inputs span several magnitudes, so any other summation order would
+    round differently."""
+    rng = np.random.default_rng(10 * d_x + d_u)
+    shape = (d_x, d_x + d_u)
+    w = rng.uniform(-0.45, 0.45, shape) * 10.0 ** rng.integers(-3, 1, shape)
+    inputs = rng.standard_normal((d_u, 300)) * 10.0 ** rng.integers(-2, 3, (d_u, 300))
+    x0 = rng.standard_normal(d_x)
+    traj = rollout_free(DiscreteTransition(w, None, None, DT), x0, inputs)
+    assert traj.states.tobytes() == matvec_loop(w, x0, inputs).tobytes()
+
+
 def test_settle_is_immediate_for_memoryless_map():
     # W = [0 | 1 0]: the state equals the last input, so the orbit is exact
     trans = DiscreteTransition(np.array([[0.0, 1.0, 0.0]]), None, None, DT)

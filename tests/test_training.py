@@ -8,7 +8,7 @@ import pytest
 import pannkit as pk
 from pannkit.errors import ConfigError, DivergentBound, NonPositiveBound
 from pannkit.signals import Segment, WaveformDataset
-from pannkit.statespace import DAB_THETA_STAR, ParamVector
+from pannkit.statespace import DAB_THETA_STAR, DiscreteTransition, ParamVector
 from pannkit.training import (
     STRATEGY_LABELS,
     AdamConfig,
@@ -300,6 +300,30 @@ def test_adam_fills_one_record_row_per_epoch(star, model, train_dataset):
     stopped = adam_train(nan_sample_dataset(train_dataset), model, DT, theta0, cfg, "S3")
     assert stopped.failed and len(stopped.records) == 0
     assert stopped.records.dtype == trace.records.dtype
+
+
+def test_grad_norm2_is_the_per_row_norm(star, train_dataset):
+    """grad_norm2 holds np.linalg.norm(g, 2) of each row, not the row-wise
+    reduction over the record, which rounds otherwise on some rows. A model
+    with W linear in theta and balanced dW slices gives gradients whose
+    entries are of one size, where the two differ."""
+    w_star = pk.dab_transition(star, DT).w
+    slices = 1e-3 * np.array([[1.0, -0.8, 0.6], [0.7, 1.1, -0.9], [-1.2, 0.5, 1.0]])
+
+    def closed_form(values, dt):
+        values = np.asarray(values, dtype=float)
+        batch = values.shape[:-1]
+        w = w_star + (values @ slices.T)[..., None, :]
+        return DiscreteTransition(w, np.broadcast_to(slices, (*batch, 1, 3, 3)), None, dt)
+
+    model = pk.ContinuousModel(1, 2, 3, None, None, closed_form=closed_form)
+    theta0 = ParamVector(np.array([0.3, -0.2, 0.1]), -np.ones(3), np.ones(3), ("a", "b", "c"))
+    cfg = AdamConfig(np.full(3, 1e-3), max_epochs=200)
+    records = adam_train(train_dataset, model, DT, theta0, cfg).records
+    grads = records.grad
+    per_row = np.array([np.linalg.norm(g, 2) for g in grads])
+    assert np.any(np.linalg.norm(grads, 2, axis=1) != per_row)
+    assert np.all(records.grad_norm2 == per_row)
 
 
 def sweep_configs(max_epochs):
