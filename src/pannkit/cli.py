@@ -42,7 +42,7 @@ from .lipschitz import (
     theorem2_monitor,
 )
 from .norms import NormKind
-from .pann import settle_to_steady_state
+from .pann import settle_to_steady_state, step
 from .signals import (
     ModulationSpec,
     WaveformDataset,
@@ -309,16 +309,17 @@ def cmd_simulate(config: ExperimentConfig, out: Path, args: argparse.Namespace) 
             raise ConfigError(f"--theta must be comma-separated numbers, got {args.theta!r}")
         theta = theta.with_values(values)  # raises OutOfBounds for bad values
     trans = transition_values(config.model, theta.values, spec.dt)
-    settled = settle_to_steady_state(trans, step_inputs_one_period(spec))
-    traj = settled.trajectory
+    inputs = step_inputs_one_period(spec)
+    settled = settle_to_steady_state(trans, inputs)
+    k = inputs.shape[1]
     write_csv(
         out / "trajectory.csv",
         ["time", "i_L", "v_p", "v_s"],
-        [traj.times[1:], *traj.states[:, 1:], *traj.inputs],
+        [trans.dt * np.arange(1, k + 1), *settled.states[:, 1:], *inputs],
     )
     print(
         f"settled={settled.converged} cycles={settled.cycles} "
-        f"residual={settled.residual:.3g} samples={traj.inputs.shape[1]}"
+        f"residual={settled.residual:.3g} samples={k}"
     )
     return 0
 
@@ -336,16 +337,12 @@ def compute_lipschitz_reports(
     domain = DomainSpec(star.lower, star.upper, z_bound, star.values)
     ginf, l2theta_star = _rate_constants(config, domain)
 
-    w = trans_star.w
     # The loss and gradient maps evaluate blocks of thetas from statistics
     # referenced at theta*.
-    stats = LossStatistics.of(train_dataset, w)
-
-    def step_map(zs: np.ndarray) -> np.ndarray:
-        return zs @ w.T
+    stats = LossStatistics.of(train_dataset, trans_star)
 
     l1z_report = mc_estimate_lipschitz(
-        step_map,
+        lambda zs: step(trans_star, zs),
         BoxSampler(-z_bound, z_bound),
         pairing="mixed",
         n_samples=mc["n_z_pairs"],

@@ -482,15 +482,14 @@ def _diameter(points: np.ndarray) -> float:
 
 
 def theorem2_monitor(trace: "TrainingTrace") -> MonitorReport:
-    """Scan a trace for max gradient norms (2 and infinity) and max pairwise
-    iterate distances; satisfied when all are finite and the diameters fit
-    inside the parameter box."""
+    """Scan a trace for max gradient norms (2 and infinity), read from its
+    own norm columns, and max pairwise iterate distances; satisfied when all
+    are finite and the diameters fit inside the parameter box."""
     if not len(trace.records):
         raise EmptyTrace("monitor needs at least one epoch")
-    grads = trace.records.grad
     iterates = np.vstack([trace.theta0.values, trace.records.theta])
-    g_hat = float(np.max(np.linalg.norm(grads, 2, axis=1)))
-    ginf_hat = float(np.max(np.abs(grads)))
+    g_hat = float(np.max(trace.records.grad_norm2))
+    ginf_hat = float(np.max(trace.records.grad_norm_inf))
     # Rounding is monotone, so no pair's rounded difference exceeds the
     # extreme pair's: the widest coordinate range is the exact pairwise max.
     dinf_hat = float(np.max(np.ptp(iterates, axis=0)))

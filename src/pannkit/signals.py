@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
@@ -25,6 +25,7 @@ from .statespace import DEFAULT_DT, DEFAULT_FS, ParamVector, dab_transition
 
 _SEGMENT_HEADER = ["time", "i_L", "v_p", "v_s", "target"]
 _CSV_BLOCK = 512  # rows write_csv converts at a time, so no table is copied whole
+_SETTLE_TOL = 1e-9  # relative periodic residual within which a segment counts as settled
 
 
 @dataclass(frozen=True)
@@ -60,16 +61,6 @@ class ModulationSpec:
     @property
     def steps_per_period(self) -> int:
         return round((1.0 / self.f_s) / self.dt)
-
-    def to_dict(self) -> dict:
-        return {
-            "v_in": self.v_in,
-            "v_out": self.v_out,
-            "f_s": self.f_s,
-            "phase_shift": self.phase_shift,
-            "dt": self.dt,
-            "n_periods": self.n_periods,
-        }
 
 
 def dab_pwm(spec: ModulationSpec) -> np.ndarray:
@@ -185,7 +176,6 @@ def synthesize_dataset(
     seed: int = 0,
     role: str = "train",
     index_base: int = 0,
-    settle_tol: float = 1e-9,
 ) -> WaveformDataset:
     """Settle the true-parameter model at each operating point and emit one
     period of (z, target) pairs per spec.
@@ -204,8 +194,8 @@ def synthesize_dataset(
     for i, spec in enumerate(specs):
         trans = dab_transition(theta_true, spec.dt)
         u_block = step_inputs_one_period(spec)
-        settled = settle_to_steady_state(trans, u_block, tol=settle_tol)
-        xs = settled.trajectory.states
+        settled = settle_to_steady_state(trans, u_block, tol=_SETTLE_TOL)
+        xs = settled.states
         states = xs[0, :-1]
         if noise_sigma > 0.0:
             rng = substream(seed, DOMAIN_NOISE, index_base + i)
@@ -260,7 +250,7 @@ def save_dataset(dataset: WaveformDataset, out_dir: Path, seed: int = 0) -> Path
         name = f"segment_{i:03d}.csv"
         times = np.arange(seg.z.shape[1]) * seg.spec.dt
         write_csv(out_dir / name, _SEGMENT_HEADER, [times, *seg.z, seg.targets[0]])
-        entries.append({"file": name, "spec": seg.spec.to_dict(),
+        entries.append({"file": name, "spec": asdict(seg.spec),
                         "noise_sigma": seg.noise_sigma, "settled": seg.settled})
     manifest = {"schema_version": 1, "role": dataset.role, "seed": seed, "segments": entries}
     write_json(manifest, out_dir / "manifest.json")

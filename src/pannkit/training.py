@@ -1,9 +1,10 @@
 """Parameter identification: loss, analytic derivatives, box-projected Adam,
 Lipschitz-aware learning rates, regret accounting, and run diagnostics.
 
-The forward pass is teacher-forced (each prediction starts from the measured
-state), which is exactly what the analytic gradient assumes: z is data, so
-d f / d theta flows only through W(theta).
+The forward pass is `pann.rollout_teacher_forced` (each prediction starts
+from the measured state), which is exactly what the analytic gradient
+assumes: z is data, so d f / d theta flows only through W(theta). The loss
+statistics take their residual from it.
 
 Trace conventions: the epoch-t record stores the loss and gradient evaluated
 at the iterate ENTERING the epoch (theta_1 = theta0) and the parameter
@@ -21,11 +22,11 @@ import numpy as np
 from .errors import (
     ConfigError,
     DivergentBound,
-    EmptyDataset,
     EmptyTrace,
     MissingDerivatives,
     NonPositiveBound,
 )
+from .pann import rollout_teacher_forced
 from .signals import WaveformDataset, write_csv
 from .statespace import ContinuousModel, DiscreteTransition, ParamVector, transition_values
 
@@ -33,6 +34,8 @@ from .statespace import ContinuousModel, DiscreteTransition, ParamVector, transi
 # ablation (a uniform rate with no per-parameter range scaling).
 STRATEGY_MULTIPLIERS = {"S1": 0.01, "S2": 0.1, "S3": 1.0, "S4": 10.0, "S5": 100.0}
 STRATEGY_LABELS = ("S1", "S2", "S3", "S4", "S5", "S6")
+# The share of total regret whose first crossing ends the regret window.
+WINDOW_ACCRUAL = 0.95
 
 
 @dataclass
@@ -119,19 +122,15 @@ class LossStatistics:
     mean_sq: float | np.ndarray
 
     @classmethod
-    def of(cls, dataset: WaveformDataset, w_ref: np.ndarray) -> "LossStatistics":
+    def of(cls, dataset: WaveformDataset, ref: DiscreteTransition) -> "LossStatistics":
         """Statistics referenced at one transition, or at each row of a block
-        of them; then c and s carry the block's leading axis."""
+        of them; then c and s carry the block's leading axis. The residual is
+        the teacher-forced prediction's."""
         z, x = dataset.stacked()
         k = z.shape[1]
-        if k == 0:
-            raise EmptyDataset("dataset has no steps")
-        # BLAS multiplies a strided row into Z with other roundings than the
-        # contiguous single-theta W, so a strided block is copied first.
-        w_ref = np.ascontiguousarray(w_ref)
-        r = w_ref @ z - x
+        r = rollout_teacher_forced(ref, dataset) - x
         cross = z @ np.swapaxes(r, -2, -1) / k
-        return cls(w_ref, dataset.gram(), cross, np.sum(r * r, axis=(-2, -1)) / k)
+        return cls(ref.w, dataset.gram(), cross, np.sum(r * r, axis=(-2, -1)) / k)
 
     def _slope(self, trans: DiscreteTransition) -> np.ndarray:
         """df/dW = dW G + c^T, per theta."""
@@ -172,7 +171,7 @@ class LossStatistics:
 def _at(values: np.ndarray, dataset: WaveformDataset, model: ContinuousModel, dt: float):
     """The transition at theta and the loss statistics referenced there."""
     trans = transition_values(model, values, dt)
-    return trans, LossStatistics.of(dataset, trans.w)
+    return trans, LossStatistics.of(dataset, trans)
 
 
 def loss(theta: ParamVector, dataset: WaveformDataset, model: ContinuousModel, dt: float) -> float:
@@ -287,7 +286,7 @@ def adam_sweep(
         # Each row is its own loss statistics' reference, so the loss and
         # gradient are read there, in their exact form.
         trans = transition_values(model, th, dt)
-        f, g = LossStatistics.of(dataset, trans.w).at_reference(trans.dw_dtheta)
+        f, g = LossStatistics.of(dataset, trans).at_reference(trans.dw_dtheta)
         finite = np.isfinite(f) & np.isfinite(g).all(axis=1)
         if not finite.all():
             # Stopped rows leave the block, so no later arithmetic meets them.
@@ -340,10 +339,9 @@ def regret_ledger(
     dt: float,
     theta_star_policy: str = "ground-truth",
     theta_star: Optional[np.ndarray] = None,
-    window_accrual: float = 0.95,
 ) -> RegretLedger:
     """Regret(T) = sum_t [f_t - f(theta_ref)] with the accrual window end
-    (first T reaching the given fraction of total regret), and the log-log
+    (first T reaching WINDOW_ACCRUAL of total regret), and the log-log
     growth slope fitted over that pre-convergence window.
 
     theta_ref is the supplied ground truth, or the best-seen iterate when
@@ -364,7 +362,7 @@ def regret_ledger(
     t_axis = np.arange(1, losses.size + 1)
     regret_total = float(curve[-1])
     if regret_total > 0:
-        window_end = int(np.argmax(curve >= window_accrual * regret_total)) + 1
+        window_end = int(np.argmax(curve >= WINDOW_ACCRUAL * regret_total)) + 1
     else:
         window_end = losses.size
     slope = None
@@ -381,7 +379,7 @@ def regret_ledger(
         theta_star_policy=theta_star_policy,
         curve=curve,
         f_star=f_star,
-        window_accrual=window_accrual,
+        window_accrual=WINDOW_ACCRUAL,
         window_end=window_end,
         slope=slope,
     )

@@ -219,6 +219,8 @@ def test_simulate_emits_one_settled_period(capsys):
     lines = Path("sim/trajectory.csv").read_text().strip().split("\n")
     assert lines[0] == "time,i_L,v_p,v_s"
     assert len(lines) == 251, "one period at 80 ns of 50 kHz is 250 samples"
+    times = [float(l.split(",")[0]) for l in lines[1:]]
+    assert times == [pk.DEFAULT_DT * k for k in range(1, 251)], "state k is at k dt"
     out = capsys.readouterr().out
     assert "settled=True" in out
     currents = np.array([float(l.split(",")[1]) for l in lines[1:]])

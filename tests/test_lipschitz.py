@@ -399,11 +399,15 @@ def test_theoretical_constants_need_derivatives(box_domain):
 
 
 def synthetic_trace(thetas, grads, theta0, lower, upper):
-    """A trace filled in the columns the monitor reads: epoch, theta, grad."""
+    """A trace filled in the columns the monitor reads: epoch, theta, grad
+    and the gradient's norms, each row's 2-norm from its own dot product as
+    training fills it."""
     records = epoch_records(len(thetas), len(theta0))
     records.epoch = np.arange(1, len(thetas) + 1)
     records.theta = thetas
     records.grad = grads
+    records.grad_norm2 = np.sqrt([g.dot(g) for g in records.grad])
+    records.grad_norm_inf = np.max(np.abs(records.grad), axis=1)
     names = tuple("abcd"[: len(theta0)])
     return TrainingTrace(records, "custom", ParamVector(theta0, lower, upper, names))
 
@@ -422,6 +426,23 @@ def test_monitor_reports_exact_maxima():
     assert rep.d_hat == 2.0, "iterates 0 -> 1 -> 2 on the first axis"
     assert rep.dinf_hat == 2.0
     assert rep.satisfied
+
+
+def test_monitor_reads_the_trace_norm_columns():
+    """G_hat and Ginf_hat are the maxima of the trace's own norm columns. The
+    largest gradient here is a row whose 2-norm, as the trace stores it,
+    rounds otherwise than a row-wise reduction over the gradients."""
+    rng = np.random.default_rng(50)
+    grads = rng.uniform(0.5, 1.0, (200, 3)) * rng.choice([-1.0, 1.0], (200, 3))
+    per_row = np.sqrt([g.dot(g) for g in grads])
+    differs = np.flatnonzero(np.linalg.norm(grads, 2, axis=1) != per_row)
+    assert differs.size, "no row where the two roundings differ"
+    grads[differs[0]] *= 4.0  # a power of two: the row keeps both its roundings
+    trace = synthetic_trace(np.zeros((200, 3)), grads, np.zeros(3), -np.ones(3), np.ones(3))
+    rep = theorem2_monitor(trace)
+    assert rep.g_hat == np.max(trace.records.grad_norm2)
+    assert rep.g_hat != np.max(np.linalg.norm(grads, 2, axis=1))
+    assert rep.ginf_hat == np.max(trace.records.grad_norm_inf)
 
 
 @given(st.integers(0, 2**32 - 1))

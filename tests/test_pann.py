@@ -6,14 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import pannkit as pk
 from pannkit.errors import EmptyDataset, NonFinite, ShapeMismatch
-from pannkit.pann import (
-    StepInput,
-    Trajectory,
-    rollout_free,
-    rollout_teacher_forced,
-    settle_to_steady_state,
-    step,
-)
+from pannkit.pann import rollout_free, rollout_teacher_forced, settle_to_steady_state, step
 from pannkit.signals import WaveformDataset, step_inputs_one_period
 from pannkit.statespace import DiscreteTransition
 
@@ -22,7 +15,7 @@ DT = pk.DEFAULT_DT
 
 def test_step_is_the_plain_dot_product(star):
     trans = pk.dab_transition(star, DT)
-    z = StepInput([1.5], [200.0, -200.0])
+    z = np.array([1.5, 200.0, -200.0])
     expected = trans.w[0, 0] * 1.5 + trans.w[0, 1] * 200.0 + trans.w[0, 2] * (-200.0)
     got = step(trans, z)
     assert got.shape == (1,)
@@ -32,12 +25,31 @@ def test_step_is_the_plain_dot_product(star):
 def test_step_rejects_wrong_length(star):
     trans = pk.dab_transition(star, DT)
     with pytest.raises(ShapeMismatch):
-        step(trans, StepInput([1.5, 0.1], [200.0, -200.0]))
+        step(trans, [1.5, 0.1, 200.0, -200.0])
+    with pytest.raises(ShapeMismatch):
+        step(trans, np.zeros((4, 2)))
 
 
-def test_step_input_rejects_nonfinite():
+def test_step_input_rejects_nonfinite(star):
+    trans = pk.dab_transition(star, DT)
     with pytest.raises(NonFinite):
-        StepInput([np.inf], [0.0, 0.0])
+        step(trans, [np.inf, 0.0, 0.0])
+    block = np.zeros((5, 3))
+    block[3, 1] = np.nan
+    with pytest.raises(NonFinite):
+        step(trans, block)
+
+
+def test_step_on_a_block_is_one_product(star):
+    """A (512, 3) block gives the block product zs @ W^T byte for byte (a
+    loop over its rows rounds otherwise), and one z gives W z."""
+    trans = pk.dab_transition(star, DT)
+    zs = np.random.default_rng(20).uniform(-1.0, 1.0, (512, 3)) * [30.0, 200.0, 200.0]
+    got = step(trans, zs)
+    assert got.shape == (512, 1)
+    assert got.tobytes() == (zs @ trans.w.T).tobytes()
+    for z in zs:
+        assert step(trans, z).tobytes() == (trans.w @ z).tobytes()
 
 
 @given(
@@ -48,13 +60,8 @@ def test_step_is_linear_in_z(a, b, scale):
     trans = pk.dab_transition(pk.dab_params(), DT)
     za = np.array([a, 200.0, -200.0])
     zb = np.array([b, -200.0, 200.0])
-    combo = StepInput(
-        [za[0] + scale * zb[0]], za[1:] + scale * zb[1:]
-    )
-    lhs = step(trans, combo)
-    rhs = step(trans, StepInput([za[0]], za[1:])) + scale * step(
-        trans, StepInput([zb[0]], zb[1:])
-    )
+    lhs = step(trans, za + scale * zb)
+    rhs = step(trans, za) + scale * step(trans, zb)
     assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-12), "step must be linear in z"
 
 
@@ -62,20 +69,19 @@ def test_rollout_constant_input_reaches_dc_fixed_point(star):
     trans = pk.dab_transition(star, DT)
     # constant u: fixed point x* solves x = w0 x + w1 u1 + w2 u2
     u = np.tile([[100.0], [50.0]], (1, 50000))
-    traj = rollout_free(trans, [0.0], u)
+    states = rollout_free(trans, [0.0], u)
     w = trans.w[0]
     x_fix = (w[1] * 100.0 + w[2] * 50.0) / (1.0 - w[0])
-    assert traj.states[0, -1] == pytest.approx(x_fix, rel=1e-4), (
-        f"rollout {traj.states[0, -1]} vs fixed point {x_fix}"
+    assert states[0, -1] == pytest.approx(x_fix, rel=1e-4), (
+        f"rollout {states[0, -1]} vs fixed point {x_fix}"
     )
 
 
 def test_rollout_zero_everything_stays_zero(star):
     trans = pk.dab_transition(star, DT)
-    traj = rollout_free(trans, [0.0], np.zeros((2, 10)))
-    assert np.all(traj.states == 0.0)
-    assert traj.times[0] == 0.0
-    assert traj.dt == pytest.approx(DT)
+    states = rollout_free(trans, [0.0], np.zeros((2, 10)))
+    assert states.shape == (1, 11)
+    assert np.all(states == 0.0)
 
 
 def test_rollout_detects_divergence():
@@ -134,8 +140,8 @@ def test_rollout_equals_a_matvec_order_loop(d_x, d_u):
     w = rng.uniform(-0.45, 0.45, shape) * 10.0 ** rng.integers(-3, 1, shape)
     inputs = rng.standard_normal((d_u, 300)) * 10.0 ** rng.integers(-2, 3, (d_u, 300))
     x0 = rng.standard_normal(d_x)
-    traj = rollout_free(DiscreteTransition(w, None, None, DT), x0, inputs)
-    assert traj.states.tobytes() == matvec_loop(w, x0, inputs).tobytes()
+    states = rollout_free(DiscreteTransition(w, None, None, DT), x0, inputs)
+    assert states.tobytes() == matvec_loop(w, x0, inputs).tobytes()
 
 
 def test_settle_is_immediate_for_memoryless_map():
@@ -143,7 +149,7 @@ def test_settle_is_immediate_for_memoryless_map():
     trans = DiscreteTransition(np.array([[0.0, 1.0, 0.0]]), None, None, DT)
     inputs = step_inputs_one_period(pk.ModulationSpec())
     settled = settle_to_steady_state(trans, inputs)
-    states = settled.trajectory.states[0]
+    states = settled.states[0]
     assert states[0] == inputs[0, -1], "the orbit starts at the period's last input"
     assert np.array_equal(states[1:], inputs[0]), "each state must equal the last input"
     assert settled.converged and settled.residual == 0.0
@@ -156,16 +162,15 @@ def test_settle_reference_converges(star):
     assert settled.converged, "reference model must settle"
     assert settled.cycles <= 2, f"settling rolled out {settled.cycles} periods"
     # the settled period must be stationary: one more period reproduces it
-    last = settled.trajectory
-    again = rollout_free(trans, last.states[:, 0], last.inputs)
-    assert np.allclose(again.states, last.states, rtol=0, atol=1e-6 * 200.0)
+    again = rollout_free(trans, settled.states[:, 0], inputs)
+    assert np.allclose(again, settled.states, rtol=0, atol=1e-6 * 200.0)
 
 
 def test_settle_zero_tolerance_reports_not_settled(star):
     trans = pk.dab_transition(star, DT)
     inputs = step_inputs_one_period(pk.ModulationSpec(phase_shift=0.25))
     settled = settle_to_steady_state(trans, inputs, tol=0.0)
-    scale = np.max(np.abs(settled.trajectory.states))
+    scale = np.max(np.abs(settled.states))
     assert not settled.converged, "tol=0 leaves no room for rounding"
     assert 0.0 < settled.residual <= 1e-12 * scale, (
         f"periodic residual {settled.residual:.3e} on a state scale of {scale:.3g}"
@@ -177,14 +182,14 @@ def test_settled_state_is_periodic_over_ten_periods(star):
     spec = pk.ModulationSpec(phase_shift=0.25, n_periods=10)
     one = pk.ModulationSpec(phase_shift=0.25)
     settled = settle_to_steady_state(trans, step_inputs_one_period(one), tol=1e-12)
-    x0 = settled.trajectory.states[:, 0]
+    x0 = settled.states[:, 0]
     ten = rollout_free(trans, x0, np.tile(step_inputs_one_period(one), (1, 10)))
     p = spec.steps_per_period
     for c in range(10):
-        seg = ten.states[0, c * p : (c + 1) * p]
-        assert np.allclose(seg, ten.states[0, :p], rtol=0, atol=1e-6), (
+        seg = ten[0, c * p : (c + 1) * p]
+        assert np.allclose(seg, ten[0, :p], rtol=0, atol=1e-6), (
             f"cycle {c} deviates from the first by "
-            f"{np.max(np.abs(seg - ten.states[0, :p])):.3e}"
+            f"{np.max(np.abs(seg - ten[0, :p])):.3e}"
         )
 
 
@@ -198,13 +203,13 @@ def assert_matches_brute_force(trans, inputs, periods=200, tol=1e-9):
     """
     settled = settle_to_steady_state(trans, inputs, tol=tol)
     assert settled.converged and settled.cycles == 2
-    x0 = settled.trajectory.states[:, 0]
+    x0 = settled.states[:, 0]
     p = inputs.shape[1]
     brute = rollout_free(trans, np.zeros(trans.dim_x), np.tile(inputs, (1, periods)))
     decay = np.linalg.matrix_power(trans.w[:, : trans.dim_x], p * periods)
     expected = x0 - decay @ x0
-    scale = np.max(np.abs(settled.trajectory.states))
-    err = np.max(np.abs(brute.states[:, -1] - expected))
+    scale = np.max(np.abs(settled.states))
+    err = np.max(np.abs(brute[:, -1] - expected))
     assert err <= tol * scale, f"brute force differs by {err:.3e} on a scale of {scale:.3g}"
 
 
@@ -275,14 +280,3 @@ def test_teacher_forced_rejects_empty(star):
     trans = pk.dab_transition(star, DT)
     with pytest.raises(EmptyDataset):
         rollout_teacher_forced(trans, WaveformDataset([]))
-
-
-def test_trajectory_rejects_irregular_times():
-    with pytest.raises(ShapeMismatch):
-        Trajectory(
-            times=[0.0, 1.0, 3.0],
-            states=np.zeros((1, 3)),
-            inputs=np.zeros((2, 2)),
-        )
-    with pytest.raises(ShapeMismatch):
-        Trajectory(times=[0.0, 1.0], states=np.zeros((1, 3)), inputs=np.zeros((2, 2)))

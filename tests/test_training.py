@@ -141,7 +141,7 @@ def test_hessian_is_psd_at_the_optimum(star, model, train_dataset):
 def test_kernel_matches_per_theta_loss_gradient_and_hessian(star, model, train_dataset):
     """Statistics referenced at theta* give a block of losses, gradients and
     Hessians that match the per-theta paths, which reference each theta itself."""
-    stats = LossStatistics.of(train_dataset, pk.dab_transition(star, DT).w)
+    stats = LossStatistics.of(train_dataset, pk.dab_transition(star, DT))
     thetas = np.random.default_rng(40).uniform(star.lower, star.upper, size=(300, 3))
     block = pk.transition_values(model, thetas, DT)
     f, g, h = stats.loss(block), stats.gradient(block), stats.hessian(block)
@@ -169,7 +169,7 @@ def test_losses_near_the_optimum_match_a_long_double_reference(star, model, trai
     reference recomputes W and the residual in long double from the same
     float data."""
     z, x = train_dataset.stacked()
-    stats = LossStatistics.of(train_dataset, pk.dab_transition(star, DT).w)
+    stats = LossStatistics.of(train_dataset, pk.dab_transition(star, DT))
     rng = np.random.default_rng(41)
     thetas = star.values + rng.uniform(-offset, offset, size=(100, 3)) * star.ranges
     kernel = stats.loss(pk.transition_values(model, thetas, DT))
@@ -431,15 +431,15 @@ def test_block_statistics_equal_solo_statistics(star, train_dataset):
     multiplies a contiguous copy."""
     thetas = np.random.default_rng(41).uniform(star.lower, star.upper, size=(6, 3))
     block = pk.dab_transition(thetas, DT)
-    strided = np.asfortranarray(block.w)
-    assert np.array_equal(strided, block.w) and not strided[0].flags.c_contiguous
+    strided = DiscreteTransition(np.asfortranarray(block.w), None, None, DT)
+    assert np.array_equal(strided.w, block.w) and not strided.w[0].flags.c_contiguous
     stats = LossStatistics.of(train_dataset, strided)
     f, g = stats.loss(block), stats.gradient(block)
     f_ref, g_ref = stats.at_reference(block.dw_dtheta)
     assert f_ref.tobytes() == f.tobytes() and g_ref.tobytes() == g.tobytes()
     for i, values in enumerate(thetas):
         trans = pk.dab_transition(values, DT)
-        solo = LossStatistics.of(train_dataset, trans.w)
+        solo = LossStatistics.of(train_dataset, trans)
         assert stats.cross[i].tobytes() == solo.cross.tobytes()
         assert stats.mean_sq[i] == solo.mean_sq
         assert f[i] == solo.loss(trans) and g[i].tobytes() == solo.gradient(trans).tobytes()
