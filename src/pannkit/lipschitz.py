@@ -26,7 +26,6 @@ beyond the sampled thetas themselves.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, TYPE_CHECKING
@@ -255,15 +254,6 @@ class LipschitzReport:
     def save(self, path: Path) -> None:
         write_json(self.to_dict(), path)
 
-    @classmethod
-    def load(cls, path: Path) -> "LipschitzReport":
-        with open(path) as fh:
-            d = json.load(fh)
-        d["norm"] = NormKind(d["norm"])
-        if d["argmax_pair"] is not None:
-            d["argmax_pair"] = tuple(np.array(p) for p in d["argmax_pair"])
-        return cls(**d)
-
 
 @dataclass(frozen=True)
 class BoxSampler:
@@ -342,7 +332,6 @@ def mc_estimate_lipschitz(
     n_samples: int = 100000,
     seed: int = 0,
     kind: NormKind = NormKind.INFINITY,
-    delta: Optional[float] = None,
     theoretical: float = float("nan"),
     constant_name: str = "L1z",
     tol_report: float = 1e-9,
@@ -353,9 +342,10 @@ def mc_estimate_lipschitz(
 
     f maps one point to a vector, or with batched=True a (B, dim) block of
     points to a (B, m) block of vectors. pairing: "random" (independent
-    pairs), "local" (a plus a delta-sized perturbation), or "mixed"
-    (alternating, the default). Coincident pairs are skipped and counted; a
-    non-finite ratio raises NonFinite naming its sample.
+    pairs), "local" (a plus a perturbation 1e-6 times the sampler's widest
+    side), or "mixed" (alternating, the default). Coincident pairs, all of
+    them on a zero-width box, are skipped and counted; a non-finite ratio
+    raises NonFinite naming its sample.
     Sample i depends only on (seed, i), so the maximum over any prefix is
     reduction-order independent.
     """
@@ -363,10 +353,7 @@ def mc_estimate_lipschitz(
         raise DegenerateDomain(f"need at least 2 samples, got {n_samples}")
     if pairing not in ("random", "local", "mixed"):
         raise DegenerateDomain(f"unknown pairing {pairing!r}")
-    if delta is None:
-        delta = 1e-6 * sampler.scale
-    if delta <= 0:
-        raise DegenerateDomain(f"delta must be positive, got {delta}")
+    delta = 1e-6 * sampler.scale
     block_f = f if batched else _per_point(f)
     best = -1.0
     best_pair = None

@@ -12,20 +12,19 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import EmptyDataset, InvalidSpec, OutOfBounds
+from .errors import EmptyDataset, InvalidSpec
 from .pann import settle_to_steady_state
 from .rng import DOMAIN_NOISE, DOMAIN_PHASES, substream
 from .statespace import DEFAULT_DT, DEFAULT_FS, ParamVector, dab_transition
 
 _SEGMENT_HEADER = ["time", "i_L", "v_p", "v_s", "target"]
 _CSV_BLOCK = 512  # rows write_csv converts at a time, so no table is copied whole
-_SETTLE_TOL = 1e-9  # relative periodic residual within which a segment counts as settled
 
 
 @dataclass(frozen=True)
@@ -80,9 +79,7 @@ def dab_pwm(spec: ModulationSpec) -> np.ndarray:
 
 def step_inputs_one_period(spec: ModulationSpec) -> np.ndarray:
     """Inputs u(t_{k+1}) for the P steps of one period (periodic wrap)."""
-    samples = dab_pwm(
-        ModulationSpec(spec.v_in, spec.v_out, spec.f_s, spec.phase_shift, spec.dt, 1)
-    )
+    samples = dab_pwm(replace(spec, n_periods=1))
     return np.roll(samples, -1, axis=1)
 
 
@@ -153,12 +150,10 @@ def draw_modulation_specs(
     seed: int,
     role_index: int = 0,
     phase_range: Tuple[float, float] = (0.05, 0.45),
-    v_in: float = 200.0,
-    v_out: float = 200.0,
-    f_s: float = DEFAULT_FS,
-    dt: float = DEFAULT_DT,
+    spec: ModulationSpec = ModulationSpec(),
 ) -> List[ModulationSpec]:
-    """n operating points with phase shifts drawn uniformly from phase_range."""
+    """n one-period operating points: spec with its phase shift drawn
+    uniformly from phase_range."""
     if len(phase_range) != 2 or not (-0.5 < phase_range[0] < phase_range[1] <= 0.5):
         raise InvalidSpec(
             f"phase_range must be (lo, hi) with -0.5 < lo < hi <= 0.5, got {phase_range}"
@@ -166,7 +161,7 @@ def draw_modulation_specs(
     lo, hi = phase_range
     rng = substream(seed, DOMAIN_PHASES, role_index)
     phases = rng.uniform(lo, hi, size=n)
-    return [ModulationSpec(v_in, v_out, f_s, float(ph), dt, 1) for ph in phases]
+    return [replace(spec, phase_shift=float(ph), n_periods=1) for ph in phases]
 
 
 def synthesize_dataset(
@@ -186,15 +181,13 @@ def synthesize_dataset(
     Deterministic given seed; each segment draws noise from its own
     substream keyed by index_base + position.
     """
-    if not theta_true.contains(theta_true.values):
-        raise OutOfBounds(f"theta_true {theta_true.values} outside its box")
     if not specs:
         raise EmptyDataset("synthesize_dataset needs at least one ModulationSpec")
     segments = []
     for i, spec in enumerate(specs):
         trans = dab_transition(theta_true, spec.dt)
         u_block = step_inputs_one_period(spec)
-        settled = settle_to_steady_state(trans, u_block, tol=_SETTLE_TOL)
+        settled = settle_to_steady_state(trans, u_block)
         xs = settled.states
         states = xs[0, :-1]
         if noise_sigma > 0.0:

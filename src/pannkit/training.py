@@ -332,32 +332,20 @@ class RegretLedger:
     slope: Optional[float]
 
 
-def regret_ledger(
-    trace: TrainingTrace,
-    dataset: WaveformDataset,
-    model: ContinuousModel,
-    dt: float,
-    theta_star_policy: str = "ground-truth",
-    theta_star: Optional[np.ndarray] = None,
-) -> RegretLedger:
-    """Regret(T) = sum_t [f_t - f(theta_ref)] with the accrual window end
-    (first T reaching WINDOW_ACCRUAL of total regret), and the log-log
-    growth slope fitted over that pre-convergence window.
+def regret_ledger(trace: TrainingTrace, f_star: Optional[float] = None) -> RegretLedger:
+    """Regret(T) = sum_t [f_t - f_star] with the accrual window end (first T
+    reaching WINDOW_ACCRUAL of total regret), and the log-log growth slope
+    fitted over that pre-convergence window.
 
-    theta_ref is the supplied ground truth, or the best-seen iterate when
-    theta_star_policy == "best-seen".
+    f_star is the ground-truth loss, or None for the trace's best-seen loss;
+    theta_star_policy records which.
     """
     if not len(trace.records):
         raise EmptyTrace("regret needs at least one epoch")
     losses = trace.records.loss
-    if theta_star_policy == "ground-truth":
-        if theta_star is None:
-            raise ConfigError("ground-truth policy needs theta_star values")
-        f_star = loss(trace.theta0.with_values(theta_star), dataset, model, dt)
-    elif theta_star_policy == "best-seen":
+    policy = "ground-truth" if f_star is not None else "best-seen"
+    if f_star is None:
         f_star = float(np.min(losses))
-    else:
-        raise ConfigError(f"unknown theta_star_policy {theta_star_policy!r}")
     curve = np.cumsum(losses - f_star)
     t_axis = np.arange(1, losses.size + 1)
     regret_total = float(curve[-1])
@@ -376,7 +364,7 @@ def regret_ledger(
     return RegretLedger(
         regret_T=regret_total,
         avg_regret=regret_total / losses.size,
-        theta_star_policy=theta_star_policy,
+        theta_star_policy=policy,
         curve=curve,
         f_star=f_star,
         window_accrual=WINDOW_ACCRUAL,

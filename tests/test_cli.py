@@ -118,6 +118,7 @@ _MALFORMED = {
     "fractional-count": {"dataset": {"n_train": 2.5}},
     "infinite-noise": {"dataset": {"noise_sigma": float("inf")}},
     "one-mc-pair": {"mc": {"n_z_pairs": 1}},
+    "lambda-decay-one": {"adam": {"lambda_decay": 1.0}},
 }
 
 
@@ -201,6 +202,23 @@ def test_synth_layout_and_determinism(tmp_path):
     assert main(["synth", "--config", path, "--out", "b"]) == 0
     for rel in ["dataset/train/segment_000.csv", "dataset/train/manifest.json", "config.yaml"]:
         assert Path("a", rel).read_bytes() == Path("b", rel).read_bytes(), f"{rel} differs"
+
+
+def test_synth_segments_carry_the_configured_operating_point(tmp_path):
+    path = small_config(
+        tmp_path,
+        dataset={"n_train": 2, "n_test": 1, "n_validation": 1},
+        excitation={"v_in": 150.0, "v_out": 180.0},
+        timing={"dt": 1e-7, "f_s": 100000.0},
+    )
+    assert main(["synth", "--config", path, "--out", "a"]) == 0
+    for role in ["train", "test", "validation"]:
+        manifest = json.loads(Path(f"a/dataset/{role}/manifest.json").read_text())
+        assert manifest["segments"], role
+        for entry in manifest["segments"]:
+            spec = entry["spec"]
+            assert (spec["v_in"], spec["v_out"]) == (150.0, 180.0), role
+            assert (spec["f_s"], spec["dt"], spec["n_periods"]) == (100000.0, 1e-7, 1), role
 
 
 def test_synth_respects_seed_override(tmp_path):

@@ -151,7 +151,7 @@ def test_mc_estimate_names_the_first_non_finite_sample():
 
 def test_mc_estimate_rejects_degenerate_setups():
     sampler = pk.BoxSampler(np.zeros(2), np.zeros(2))
-    with pytest.raises(DegenerateDomain):
+    with pytest.raises(DegenerateDomain, match="all 50 sampled pairs were coincident"):
         pk.mc_estimate_lipschitz(lambda z: z, sampler, n_samples=50, seed=0)
     with pytest.raises(DegenerateDomain):
         pk.mc_estimate_lipschitz(
@@ -169,19 +169,6 @@ def test_report_rejects_bound_violation():
     # equality and tiny excess inside tolerance are fine
     make_report(empirical_max=2.0)
     make_report(empirical_max=2.0 * (1 + 1e-10))
-
-
-def test_report_round_trips_through_json(tmp_path):
-    report = make_report(extras={"note": 1.5})
-    path = tmp_path / "r.json"
-    report.save(path)
-    back = LipschitzReport.load(path)
-    assert back.constant_name == report.constant_name
-    assert back.norm == report.norm
-    assert back.theoretical == report.theoretical
-    assert back.empirical_max == report.empirical_max
-    assert back.extras == report.extras
-    assert np.array_equal(back.argmax_pair[0], report.argmax_pair[0])
 
 
 def test_sample_thetas_covers_anchors_and_corners(box_domain):

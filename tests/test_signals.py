@@ -90,6 +90,17 @@ def test_draw_specs_stay_in_range():
     )
 
 
+def test_draw_specs_carry_the_base_spec_but_its_phase():
+    base = pk.ModulationSpec(v_in=150.0, v_out=180.0, f_s=100000.0, phase_shift=0.3,
+                             dt=1e-7, n_periods=4)
+    specs = pk.draw_modulation_specs(5, seed=9, role_index=2, spec=base)
+    phases = [s.phase_shift for s in pk.draw_modulation_specs(5, seed=9, role_index=2)]
+    assert [s.phase_shift for s in specs] == phases, "the base spec does not move the draws"
+    for spec in specs:
+        assert (spec.v_in, spec.v_out, spec.f_s, spec.dt) == (150.0, 180.0, 100000.0, 1e-7)
+        assert spec.n_periods == 1 and spec.steps_per_period == 100
+
+
 def test_draw_specs_rejects_bad_range():
     with pytest.raises(InvalidSpec):
         pk.draw_modulation_specs(5, seed=0, phase_range=(0.4, 0.2))
