@@ -44,6 +44,6 @@ from .statespace import (
     neumann_bound,
     transition_values,
 )
-from .training import AdamConfig, adam_train, gradient, lipschitz_aware_rates, loss
+from .training import AdamConfig, adam_sweep, gradient, lipschitz_aware_rates, loss
 
 __version__ = "0.1.0"

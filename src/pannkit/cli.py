@@ -5,8 +5,8 @@ The CLI composes library operations and persists their outputs; it computes
 no math of its own. Every run echoes its resolved config next to its outputs
 and derives all randomness from one master seed, so reruns are bit-identical.
 
-Exit codes: 0 success, 1 configuration/input error, 2 numerical failure,
-3 reproduction-check failure.
+Exit codes: 0 success, 1 configuration/input error (an allocation too large
+for memory among them), 2 numerical failure, 3 reproduction-check failure.
 """
 from __future__ import annotations
 
@@ -53,7 +53,10 @@ from .signals import (
     write_csv,
     write_json,
 )
-from .statespace import DAB_NAMES, ParamVector, dab_model, transition_values
+from .statespace import (
+    DAB_LOWER, DAB_NAMES, DAB_THETA_STAR, DAB_UPPER, DEFAULT_DT, DEFAULT_FS, ParamVector,
+    dab_model, transition_values,
+)
 from .training import (
     AdamConfig,
     LossStatistics,
@@ -77,12 +80,12 @@ _ROLES = ("train", "test", "validation")
 # whole number >= 0, a string, or a non-empty list of one of these.
 _DEFAULTS = {
     "theta": {
-        "star": [63e-6, 1.8, 1.0],
-        "lower": [10e-6, 0.01, 0.8],
-        "upper": [200e-6, 3.0, 1.2],
+        "star": DAB_THETA_STAR.tolist(),
+        "lower": DAB_LOWER.tolist(),
+        "upper": DAB_UPPER.tolist(),
         "initial": [120e-6, 0.903, 1.12],
     },
-    "timing": {"dt": 8e-8, "f_s": 50000.0},
+    "timing": {"dt": DEFAULT_DT, "f_s": DEFAULT_FS},
     "excitation": {
         "v_in": 200.0,
         "v_out": 200.0,
@@ -180,6 +183,10 @@ class ExperimentConfig:
             self.initial = self.star.with_values(th["initial"])
         except (InvalidSpec, OutOfBounds) as err:
             raise ConfigError(f"invalid theta/timing/excitation: {err}") from err
+        # With neither bridge driven every z bound, and so every constant and
+        # rate, is zero.
+        if exc["v_in"] == 0.0 and exc["v_out"] == 0.0:
+            raise ConfigError("excitation.v_in and excitation.v_out must not both be 0")
         # L_k + R_L*dt, the closed form's denominator, grows in both: its
         # minimum over the box is at the lower corner.
         den = th["lower"][0] + th["lower"][1] * self.spec.dt
@@ -398,7 +405,7 @@ def _rate_constants(config: ExperimentConfig, domain: DomainSpec) -> Tuple[float
 def _save_reports(reports: Dict[str, LipschitzReport], out: Path) -> List[Path]:
     paths = [out / "lipschitz" / f"{name}.json" for name in reports]
     for report, path in zip(reports.values(), paths):
-        report.save(path)
+        write_json(report.to_dict(), path)
     return paths
 
 
@@ -467,16 +474,16 @@ def run_strategy_sweep(
             bound_curve = regret_bound(
                 adam,
                 d=theta0.dim,
-                big_d=monitor.d_hat,
-                big_d_inf=monitor.dinf_hat,
-                ginf=monitor.ginf_hat,
+                big_d=monitor.D_hat,
+                big_d_inf=monitor.Dinf_hat,
+                ginf=monitor.Ginf_hat,
                 t=trace.records.epoch,
             )
             summary.update(
                 {
                     "diagnostics": asdict(diag),
                     "regret": asdict(ledger),
-                    "monitor": monitor.to_dict(),
+                    "monitor": asdict(monitor),
                     "regret_bound_curve": bound_curve,
                     "regret_bound_dominates": bool(
                         np.all(ledger.curve <= bound_curve + 1e-12)
@@ -702,6 +709,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 1
     except OSError as exc:
         print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     except PannkitError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

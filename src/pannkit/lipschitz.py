@@ -26,8 +26,7 @@ beyond the sampled thetas themselves.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional, TYPE_CHECKING
 
 import numpy as np
@@ -42,7 +41,6 @@ from .errors import (
 )
 from .norms import NormKind, d2w_norm, dw_norm, mat_norm, max_entry_norm, vec_norm
 from .rng import DOMAIN_MC, DOMAIN_THETA, substream
-from .signals import write_json
 from .statespace import ContinuousModel, DiscreteTransition, transition_values
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -236,23 +234,9 @@ class LipschitzReport:
             )
 
     def to_dict(self) -> dict:
-        return {
-            "constant_name": self.constant_name,
-            "norm": self.norm.value,
-            "theoretical": self.theoretical,
-            "empirical_max": self.empirical_max,
-            "n_samples": self.n_samples,
-            "n_skipped": self.n_skipped,
-            "argmax_pair": None
-            if self.argmax_pair is None
-            else [list(map(float, p)) for p in self.argmax_pair],
-            "seed": self.seed,
-            "tol_report": self.tol_report,
-            "extras": self.extras,
-        }
-
-    def save(self, path: Path) -> None:
-        write_json(self.to_dict(), path)
+        pair = self.argmax_pair
+        return {**asdict(self), "norm": self.norm.value,
+                "argmax_pair": None if pair is None else [list(map(float, p)) for p in pair]}
 
 
 @dataclass(frozen=True)
@@ -412,20 +396,11 @@ class MonitorReport:
     """Empirical counterparts of the convergence conditions: max gradient
     norms and iterate diameters, plus the box-boundedness verdict."""
 
-    g_hat: float
-    ginf_hat: float
-    d_hat: float
-    dinf_hat: float
+    G_hat: float
+    Ginf_hat: float
+    D_hat: float
+    Dinf_hat: float
     satisfied: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "G_hat": self.g_hat,
-            "Ginf_hat": self.ginf_hat,
-            "D_hat": self.d_hat,
-            "Dinf_hat": self.dinf_hat,
-            "satisfied": self.satisfied,
-        }
 
 
 def _sq_norms(d: np.ndarray) -> np.ndarray:

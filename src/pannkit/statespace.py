@@ -205,20 +205,14 @@ def _discretize_values(model: ContinuousModel, values: np.ndarray, dt: float) ->
     return DiscreteTransition(w, dw, None, dt)
 
 
-def _pow(x, k: int):
-    """x**k rounded as C pow rounds it, for a float or an array; numpy's `**`
-    on arrays rounds squares and cubes differently."""
-    return x**k if isinstance(x, float) else np.float_power(x, k)
-
-
 def _dab_tensors(lk, rl, n, den, dt: float):
-    """W (1,3), dW (1,3,3) and a builder of d2W (1,3,3,3) at one theta given
-    as floats, or with a leading batch axis given as arrays of B values each;
-    den = L_k + R_L*dt. Every path runs the same expressions, so a row of a
-    block equals its theta alone bit for bit. W and dW are C-contiguous;
-    d2W, 27 of the 39 entries, is built only for the callers that read it.
+    """W (1,3), dW (1,3,3) and a builder of d2W (1,3,3,3) at one theta, or
+    with a leading batch axis of B thetas; den = L_k + R_L*dt. Both run these
+    numpy expressions, so a row of a block equals its theta alone bit for
+    bit; np.float_power rounds squares and cubes as C pow does. W and dW are
+    C-contiguous; d2W, 27 of the 39 entries, is built only when it is read.
     """
-    d2 = _pow(den, 2)
+    d2 = np.float_power(den, 2)
     s = dt / d2
     zero = 0.0 * den
     batch = np.shape(den)
@@ -232,7 +226,7 @@ def _dab_tensors(lk, rl, n, den, dt: float):
 
     def d2w():
         # d2W[z, i, j], symmetric in (i, j)
-        d3 = _pow(den, 3)
+        d3 = np.float_power(den, 3)
         w1_01 = dt * (lk - rl * dt) / d3
         w2_01 = 2 * dt**2 / d3
         w3_01 = -2 * n * dt**2 / d3
@@ -284,10 +278,9 @@ def dab_transition(
     if not inside.all():
         bad = values if values.ndim == 1 else values[~inside.all(axis=1)][0]
         raise OutOfBounds(f"theta {bad} outside box [{box.lower}, {box.upper}]")
-    # One theta runs on Python floats, whose arithmetic is cheaper than numpy's.
-    lk, rl, n = values.tolist() if values.ndim == 1 else values.T
+    lk, rl, n = values.T
     den = lk + rl * dt
-    if not (np.asarray(den) > 0).all():
+    if not (den > 0).all():
         raise SingularDiscretization(f"L_k + R_L*dt = {np.min(den)} must be positive")
     return DiscreteTransition(*_dab_tensors(lk, rl, n, den, dt), dt)
 

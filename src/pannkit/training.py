@@ -228,19 +228,6 @@ def strategy_rates(base_alpha: np.ndarray, label: str) -> np.ndarray:
     return STRATEGY_MULTIPLIERS[label] * base_alpha
 
 
-def adam_train(
-    dataset: WaveformDataset,
-    model: ContinuousModel,
-    dt: float,
-    theta0: ParamVector,
-    config: AdamConfig,
-    strategy_label: str = "custom",
-) -> TrainingTrace:
-    """Box-projected Adam with bias correction and per-epoch beta1 decay: a
-    sweep of one strategy."""
-    return adam_sweep(dataset, model, dt, theta0, {strategy_label: config})[strategy_label]
-
-
 def adam_sweep(
     dataset: WaveformDataset,
     model: ContinuousModel,

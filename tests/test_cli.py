@@ -119,6 +119,7 @@ _MALFORMED = {
     "infinite-noise": {"dataset": {"noise_sigma": float("inf")}},
     "one-mc-pair": {"mc": {"n_z_pairs": 1}},
     "lambda-decay-one": {"adam": {"lambda_decay": 1.0}},
+    "zero-excitation": {"excitation": {"v_in": 0.0, "v_out": 0.0}},
 }
 
 
@@ -134,6 +135,18 @@ _MALFORMED = {
 def test_malformed_config_is_a_config_error(tmp_path, capsys, overrides, args):
     path = write_config(tmp_path, overrides)
     assert main(["synth", "--config", path, "--out", "o", *args]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err, err
+
+
+def test_infeasible_allocation_is_an_error_line(tmp_path, capsys):
+    """6 x 10^15 epoch records need 469 PiB, more than any address space
+    holds, so the allocation fails at once."""
+    path = write_config(tmp_path, {
+        "adam": {"max_epochs": 10**15},
+        "dataset": {"n_test": 0, "n_validation": 0},
+    })
+    assert main(["train", "--config", path, "--out", "o"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err, err
 

@@ -1,6 +1,7 @@
 """Bound calculators and MC estimators: exact identities, scaling laws,
 dominance over empirical ratios, and the training monitor."""
 import re
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
@@ -408,10 +409,10 @@ def test_monitor_reports_exact_maxima():
         upper=[5.0, 5.0],
     )
     rep = theorem2_monitor(trace)
-    assert rep.g_hat == 5.0, "gradient 2-norm max is the (3,4) epoch"
-    assert rep.ginf_hat == 4.0
-    assert rep.d_hat == 2.0, "iterates 0 -> 1 -> 2 on the first axis"
-    assert rep.dinf_hat == 2.0
+    assert rep.G_hat == 5.0, "gradient 2-norm max is the (3,4) epoch"
+    assert rep.Ginf_hat == 4.0
+    assert rep.D_hat == 2.0, "iterates 0 -> 1 -> 2 on the first axis"
+    assert rep.Dinf_hat == 2.0
     assert rep.satisfied
 
 
@@ -427,9 +428,9 @@ def test_monitor_reads_the_trace_norm_columns():
     grads[differs[0]] *= 4.0  # a power of two: the row keeps both its roundings
     trace = synthetic_trace(np.zeros((200, 3)), grads, np.zeros(3), -np.ones(3), np.ones(3))
     rep = theorem2_monitor(trace)
-    assert rep.g_hat == np.max(trace.records.grad_norm2)
-    assert rep.g_hat != np.max(np.linalg.norm(grads, 2, axis=1))
-    assert rep.ginf_hat == np.max(trace.records.grad_norm_inf)
+    assert rep.G_hat == np.max(trace.records.grad_norm2)
+    assert rep.G_hat != np.max(np.linalg.norm(grads, 2, axis=1))
+    assert rep.Ginf_hat == np.max(trace.records.grad_norm_inf)
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -444,7 +445,7 @@ def test_monitor_dinf_equals_the_pairwise_maximum(seed):
         float(np.max(np.abs(iterates[i + 1 :] - iterates[i])))
         for i in range(len(iterates) - 1)
     )
-    assert theorem2_monitor(trace).dinf_hat == pairwise
+    assert theorem2_monitor(trace).Dinf_hat == pairwise
 
 
 def loop_d_hat(iterates):
@@ -481,7 +482,7 @@ def test_monitor_d_hat_equals_the_pairwise_loop(seed, epochs, dim, kind):
         points = np.full(shape, rng.uniform(-100.0, 100.0))
     box = np.full(dim, 1e3)
     trace = synthetic_trace(points[1:], np.ones((epochs, dim)), points[0], -box, box)
-    assert theorem2_monitor(trace).d_hat == loop_d_hat(points)
+    assert theorem2_monitor(trace).D_hat == loop_d_hat(points)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -497,7 +498,7 @@ def test_monitor_d_hat_is_nan_on_a_non_finite_iterate(bad):
         upper=[10.0, 10.0],
     )
     rep = theorem2_monitor(trace)
-    assert np.isnan(rep.d_hat) and not np.isfinite(rep.dinf_hat)
+    assert np.isnan(rep.D_hat) and not np.isfinite(rep.Dinf_hat)
     assert not rep.satisfied
 
 
@@ -518,7 +519,7 @@ def test_monitor_to_dict_keys():
         thetas=[[1.0, 1.0]], grads=[[1.0, 1.0]], theta0=[0.0, 0.0],
         lower=[-5.0, -5.0], upper=[5.0, 5.0],
     )
-    d = theorem2_monitor(trace).to_dict()
+    d = asdict(theorem2_monitor(trace))
     assert set(d) == {"G_hat", "Ginf_hat", "D_hat", "Dinf_hat", "satisfied"}
 
 

@@ -16,7 +16,7 @@ ROOT_NAMES = {
     "DomainSpec", "BoxSampler", "NormKind", "theoretical_L1z", "theoretical_L1theta",
     "theoretical_L2theta", "mc_estimate_lipschitz",
     # training
-    "AdamConfig", "adam_train", "loss", "gradient", "lipschitz_aware_rates",
+    "AdamConfig", "adam_sweep", "loss", "gradient", "lipschitz_aware_rates",
     # errors
     "PannkitError",
 }

@@ -159,6 +159,24 @@ def box_block(star, n, seed):
     return np.vstack([rng.uniform(star.lower, star.upper, size=(n, 3)), corners])
 
 
+def python_float_tensors(lk, rl, n, dt):
+    """W, dW and d2W at one theta in Python float arithmetic, with C pow for
+    the square and the cube of L_k + R_L*dt, flattened."""
+    den = lk + rl * dt
+    d2, d3 = den**2, den**3
+    s = dt / d2
+    w = [lk / den, dt / den, -n * dt / den]
+    dw = [s * rl, s * -lk, 0.0, -s, s * -dt, 0.0, s * n, s * (n * dt), s * -den]
+    w1_01, w2_01, w3_01 = dt * (lk - rl * dt) / d3, 2 * dt**2 / d3, -2 * n * dt**2 / d3
+    w3_02, w3_12 = dt / d2, dt**2 / d2
+    d2w = [
+        -2 * rl * dt / d3, w1_01, 0.0, w1_01, 2 * lk * dt**2 / d3, 0.0, 0.0, 0.0, 0.0,
+        2 * dt / d3, w2_01, 0.0, w2_01, 2 * dt**3 / d3, 0.0, 0.0, 0.0, 0.0,
+        -2 * n * dt / d3, w3_01, w3_02, w3_01, 0.0, w3_12, w3_02, w3_12, 0.0,
+    ]
+    return np.array(w), np.array(dw), np.array(d2w)
+
+
 def test_batched_transition_equals_stacked_scalar_calls(star, model):
     block = box_block(star, 200, seed=557)
     batched = pk.dab_transition(block, DT)
@@ -174,6 +192,13 @@ def test_batched_transition_equals_stacked_scalar_calls(star, model):
             (batched.d2w_dtheta2, via_model.d2w_dtheta2, one.d2w_dtheta2),
         ):
             assert got[i].tobytes() == want.tobytes() == via[i].tobytes(), f"row {i}"
+    # One theta runs the block's numpy arithmetic, so the eight corners, where
+    # the suprema are attained, are also checked against Python floats.
+    for values in block[-8:]:
+        one = pk.dab_transition(star.with_values(values), DT)
+        want = python_float_tensors(*values.tolist(), DT)
+        for got, ref in zip((one.w, one.dw_dtheta, one.d2w_dtheta2), want):
+            assert got.ravel().tobytes() == ref.tobytes(), f"corner {values}"
 
 
 def test_batched_transition_rejects_a_block_with_one_bad_theta(star):

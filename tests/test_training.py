@@ -15,7 +15,6 @@ from pannkit.training import (
     LossStatistics,
     TrainingTrace,
     adam_sweep,
-    adam_train,
     epoch_records,
     gradient,
     hessian,
@@ -242,7 +241,7 @@ def test_adam_config_validation():
 def test_adam_stays_put_on_zero_gradient(star, model):
     theta0 = star.with_values([100e-6, 1.0, 1.1])
     cfg = AdamConfig(np.array([1e-3, 1e-3, 1e-3]), max_epochs=20)
-    trace = adam_train(zero_dataset(), model, DT, theta0, cfg)
+    trace = adam_sweep(zero_dataset(), model, DT, theta0, {"custom": cfg})["custom"]
     assert not trace.failed
     assert len(trace.records) == 20
     assert np.array_equal(trace.final_theta, theta0.values), (
@@ -254,7 +253,7 @@ def test_adam_stays_put_on_zero_gradient(star, model):
 def test_adam_reduces_loss(star, model, train_dataset):
     theta0 = star.with_values([120e-6, 0.903, 1.12])
     cfg = AdamConfig(np.array([4.6e-6, 7.3e-2, 9.8e-3]), max_epochs=60)
-    trace = adam_train(train_dataset, model, DT, theta0, cfg, "S3")
+    trace = adam_sweep(train_dataset, model, DT, theta0, {"S3": cfg})["S3"]
     assert not trace.failed
     assert trace.records[-1].loss < 0.05 * trace.records[0].loss, (
         f"loss barely moved: {trace.records[0].loss} -> {trace.records[-1].loss}"
@@ -264,7 +263,7 @@ def test_adam_reduces_loss(star, model, train_dataset):
 def test_adam_respects_the_box(star, model, train_dataset):
     theta0 = star.with_values([120e-6, 0.903, 1.12])
     huge = AdamConfig(np.array([1.0, 1.0, 1.0]), max_epochs=30)
-    trace = adam_train(train_dataset, model, DT, theta0, huge, "S5-ish")
+    trace = adam_sweep(train_dataset, model, DT, theta0, {"S5-ish": huge})["S5-ish"]
     for rec in trace.records:
         assert star.contains(rec.theta), f"epoch {rec.epoch} left the box: {rec.theta}"
 
@@ -279,8 +278,9 @@ def test_adam_flags_nonfinite_loss(star):
     )
     ds = quick_dataset(DAB_THETA_STAR, 0.2)
     theta0 = pk.dab_params([120e-6, 0.903, 1.12])
+    cfg = AdamConfig(np.full(3, 1e-3), max_epochs=5)
     with np.errstate(over="ignore"):
-        trace = adam_train(ds, blowup, DT, theta0, AdamConfig(np.full(3, 1e-3), max_epochs=5))
+        trace = adam_sweep(ds, blowup, DT, theta0, {"custom": cfg})["custom"]
     assert trace.failed
     assert "non-finite" in trace.failure_reason
     assert len(trace.records) == 0
@@ -290,14 +290,15 @@ def test_adam_flags_nonfinite_loss(star):
 def test_adam_fills_one_record_row_per_epoch(star, model, train_dataset):
     theta0 = star.with_values([120e-6, 0.903, 1.12])
     cfg = AdamConfig(np.array([4.6e-6, 7.3e-2, 9.8e-3]), max_epochs=50)
-    trace = adam_train(train_dataset, model, DT, theta0, cfg, "S3")
+    trace = adam_sweep(train_dataset, model, DT, theta0, {"S3": cfg})["S3"]
     assert len(trace.records) == cfg.max_epochs
     for t, rec in enumerate(trace.records, start=1):
         assert rec.epoch == t
         assert rec.rmse == float(np.sqrt(2.0 * rec.loss))
         assert rec.grad_norm2 == float(np.linalg.norm(rec.grad, 2))
         assert rec.grad_norm_inf == float(np.max(np.abs(rec.grad)))
-    stopped = adam_train(nan_sample_dataset(train_dataset), model, DT, theta0, cfg, "S3")
+    nan_data = nan_sample_dataset(train_dataset)
+    stopped = adam_sweep(nan_data, model, DT, theta0, {"S3": cfg})["S3"]
     assert stopped.failed and len(stopped.records) == 0
     assert stopped.records.dtype == trace.records.dtype
 
@@ -319,7 +320,7 @@ def test_grad_norm2_is_the_per_row_norm(star, train_dataset):
     model = pk.ContinuousModel(1, 2, 3, None, None, closed_form=closed_form)
     theta0 = ParamVector(np.array([0.3, -0.2, 0.1]), -np.ones(3), np.ones(3), ("a", "b", "c"))
     cfg = AdamConfig(np.full(3, 1e-3), max_epochs=200)
-    records = adam_train(train_dataset, model, DT, theta0, cfg).records
+    records = adam_sweep(train_dataset, model, DT, theta0, {"custom": cfg})["custom"].records
     grads = records.grad
     per_row = np.array([np.linalg.norm(g, 2) for g in grads])
     assert np.any(np.linalg.norm(grads, 2, axis=1) != per_row)
@@ -373,7 +374,8 @@ def test_sweep_rows_equal_solo_runs(star, model, train_dataset):
     assert list(traces) == list(configs)
     for label, config in configs.items():
         assert len(traces[label].records) == config.max_epochs
-        assert_same_run(traces[label], adam_train(train_dataset, model, DT, theta0, config, label))
+        solo = adam_sweep(train_dataset, model, DT, theta0, {label: config})[label]
+        assert_same_run(traces[label], solo)
 
 
 def test_sweep_stops_an_overflowing_strategy_alone(star, train_dataset):
@@ -395,7 +397,7 @@ def test_sweep_stops_an_overflowing_strategy_alone(star, train_dataset):
     configs = sweep_configs(40)
     traces = adam_sweep(train_dataset, model, DT, theta0, configs)
     for label, config in configs.items():
-        solo = adam_train(train_dataset, model, DT, theta0, config, label)
+        solo = adam_sweep(train_dataset, model, DT, theta0, {label: config})[label]
         assert_same_run(traces[label], solo)
         records, reason = plain_adam(train_dataset, model, theta0, config)
         assert (solo.records.tobytes(), solo.failure_reason) == (records.tobytes(), reason)
@@ -464,14 +466,15 @@ def test_sweep_equals_a_plain_epoch_loop(star, model):
 
 def test_adam_rejects_alpha_size_mismatch(star, model, train_dataset):
     with pytest.raises(ConfigError):
-        adam_train(
-            train_dataset, model, DT, star, AdamConfig(np.array([1e-3, 1e-3]))
+        adam_sweep(
+            train_dataset, model, DT, star, {"custom": AdamConfig(np.array([1e-3, 1e-3]))}
         )
 
 
 def test_regret_zero_when_sitting_at_the_optimum(star, model):
     ds = zero_dataset()
-    trace = adam_train(ds, model, DT, star, AdamConfig(np.full(3, 1e-3), max_epochs=10))
+    cfg = AdamConfig(np.full(3, 1e-3), max_epochs=10)
+    trace = adam_sweep(ds, model, DT, star, {"custom": cfg})["custom"]
     ledger = regret_ledger(trace, loss(star, ds, model, DT))
     assert ledger.theta_star_policy == "ground-truth"
     assert ledger.regret_T == 0.0
@@ -482,7 +485,7 @@ def test_regret_zero_when_sitting_at_the_optimum(star, model):
 def test_regret_curve_is_nondecreasing(star, model, train_dataset):
     theta0 = star.with_values([120e-6, 0.903, 1.12])
     cfg = AdamConfig(np.array([4.6e-6, 7.3e-2, 9.8e-3]), max_epochs=40)
-    trace = adam_train(train_dataset, model, DT, theta0, cfg)
+    trace = adam_sweep(train_dataset, model, DT, theta0, {"custom": cfg})["custom"]
     ledger = regret_ledger(trace, loss(star, train_dataset, model, DT))
     assert ledger.theta_star_policy == "ground-truth"
     assert np.all(np.diff(ledger.curve) >= 0.0), (
@@ -495,7 +498,7 @@ def test_regret_curve_is_nondecreasing(star, model, train_dataset):
 def test_regret_best_seen_policy(star, model, train_dataset):
     theta0 = star.with_values([120e-6, 0.903, 1.12])
     cfg = AdamConfig(np.array([4.6e-6, 7.3e-2, 9.8e-3]), max_epochs=20)
-    trace = adam_train(train_dataset, model, DT, theta0, cfg)
+    trace = adam_sweep(train_dataset, model, DT, theta0, {"custom": cfg})["custom"]
     ledger = regret_ledger(trace, None)
     assert ledger.theta_star_policy == "best-seen"
     assert ledger.f_star == np.min(trace.records.loss)
@@ -589,7 +592,7 @@ def test_diagnostics_none_when_not_converged():
 def test_trace_csv_round_trip(tmp_path, star, model, train_dataset):
     theta0 = star.with_values([120e-6, 0.903, 1.12])
     cfg = AdamConfig(np.array([4.6e-6, 7.3e-2, 9.8e-3]), max_epochs=5)
-    trace = adam_train(train_dataset, model, DT, theta0, cfg, "S3")
+    trace = adam_sweep(train_dataset, model, DT, theta0, {"S3": cfg})["S3"]
     path = tmp_path / "trace.csv"
     write_trace_csv(trace, path)
     lines = path.read_text().strip().split("\n")
@@ -615,9 +618,10 @@ def test_trace_csv_equals_the_csv_writer_loop(tmp_path, star, model, train_datas
     theta0 = star.with_values([120e-6, 0.903, 1.12])
     cfg = AdamConfig(np.array([4.6e-6, 7.3e-2, 9.8e-3]), max_epochs=5)
     # A run stopped at epoch 1 writes the header alone.
-    stopped = adam_train(nan_sample_dataset(train_dataset), model, DT, theta0, cfg, "S3")
+    nan_data = nan_sample_dataset(train_dataset)
+    stopped = adam_sweep(nan_data, model, DT, theta0, {"S3": cfg})["S3"]
     assert stopped.failed and not len(stopped.records)
-    for trace in (adam_train(train_dataset, model, DT, theta0, cfg, "S3"), stopped):
+    for trace in (adam_sweep(train_dataset, model, DT, theta0, {"S3": cfg})["S3"], stopped):
         write_trace_csv(trace, tmp_path / "got.csv")
         trace_csv_reference(trace, tmp_path / "want.csv")
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
