@@ -77,7 +77,7 @@ _ROLES = ("train", "test", "validation")
 
 # The config schema: each key's default. A key's type follows its default: a
 # float (finite; YAML numeric strings such as `8e-8` are read as floats), a
-# whole number >= 0, a string, or a non-empty list of one of these.
+# whole number in [0, 2^63), a string, or a non-empty list of one of these.
 _DEFAULTS = {
     "theta": {
         "star": DAB_THETA_STAR.tolist(),
@@ -112,7 +112,7 @@ _MINIMA = {
     "mc.n_z_pairs": 2,
     "mc.n_theta_pairs": 2,
 }
-_TYPE_NAMES = {float: "a finite number", int: "a whole number >= 0", str: "a string"}
+_TYPE_NAMES = {float: "a finite number", int: "a whole number in [0, 2^63)", str: "a string"}
 
 
 def default_config() -> dict:
@@ -133,7 +133,9 @@ def _parse(value, default, where: str):
         except (ValueError, OverflowError):
             pass
     ok = isinstance(value, kind) and not isinstance(value, bool)
-    if not ok or (kind is float and not math.isfinite(value)) or (kind is int and value < 0):
+    if not ok or (kind is float and not math.isfinite(value)) or (
+        kind is int and not 0 <= value < 2**63
+    ):
         raise ConfigError(f"{where} must be {_TYPE_NAMES[kind]}, got {value!r}")
     low = _MINIMA.get(where)
     if low is not None and value < low:
@@ -171,9 +173,6 @@ class ExperimentConfig:
             setattr(self, section, value)
 
         th, exc = self.theta, self.excitation
-        if len(th["star"]) != len(DAB_NAMES):
-            raise ConfigError(f"theta.star has {len(th['star'])} entries; the dab model has "
-                              f"{len(DAB_NAMES)} parameters {DAB_NAMES}")
         try:
             self.spec = ModulationSpec(
                 exc["v_in"], exc["v_out"], self.timing["f_s"], exc["phase_shift"],
@@ -405,7 +404,7 @@ def _rate_constants(config: ExperimentConfig, domain: DomainSpec) -> Tuple[float
 def _save_reports(reports: Dict[str, LipschitzReport], out: Path) -> List[Path]:
     paths = [out / "lipschitz" / f"{name}.json" for name in reports]
     for report, path in zip(reports.values(), paths):
-        write_json(report.to_dict(), path)
+        write_json(asdict(report), path)
     return paths
 
 

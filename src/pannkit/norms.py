@@ -57,11 +57,6 @@ def mat_norm(m: np.ndarray, kind: NormKind):
     return _float_or_array(np.linalg.norm(m, _ord(kind), axis=(-2, -1)))
 
 
-def max_entry_norm(m: np.ndarray) -> float:
-    """Largest absolute entry; not induced, reported alongside L1z."""
-    return float(np.max(np.abs(np.asarray(m, dtype=float))))
-
-
 def dw_norm(dw: np.ndarray, kind: NormKind):
     dw = np.asarray(dw, dtype=float)
     if dw.ndim < 3:

@@ -81,7 +81,7 @@ def rollout_free(trans: DiscreteTransition, x0: np.ndarray, inputs: np.ndarray) 
 def rollout_teacher_forced(trans: DiscreteTransition, dataset: "WaveformDataset") -> np.ndarray:
     """Per-step predictions W z_k from measured z, concatenated over segments;
     for a block of transitions, one row block of predictions per transition."""
-    z, _ = dataset.stacked()
+    z, _ = dataset.stacked
     if z.shape[1] == 0:
         raise EmptyDataset("dataset has no steps")
     if z.shape[0] != trans.dim_z:

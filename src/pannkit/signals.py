@@ -10,11 +10,11 @@ entries of z. write_csv and write_json write every CSV and JSON artifact.
 """
 from __future__ import annotations
 
-import csv
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
+from functools import cached_property
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -47,6 +47,9 @@ class ModulationSpec:
             )
         period = 1.0 / self.f_s
         steps = period / self.dt
+        # Every float from 2^53 on is whole, so the integral test below proves nothing there.
+        if not steps < 2.0**53:
+            raise InvalidSpec(f"steps per period 1/(f_s dt) must be below 2^53, got {steps}")
         if abs(steps - round(steps)) > 1e-9 * steps:
             raise InvalidSpec(
                 f"steps per period must be integral: 1/f_s = {period}, dt = {self.dt} "
@@ -112,28 +115,22 @@ class Segment:
 class WaveformDataset:
     segments: List[Segment]
     role: str = "train"
-    _stacked: Optional[Tuple[np.ndarray, np.ndarray]] = field(
-        default=None, repr=False, compare=False
-    )
-    _gram: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
+    @cached_property
     def stacked(self) -> Tuple[np.ndarray, np.ndarray]:
         """(Z, X): z columns and target columns concatenated across segments."""
         if not self.segments:
             raise EmptyDataset("dataset has no segments")
-        if self._stacked is None:
-            z = np.hstack([s.z for s in self.segments])
-            x = np.hstack([s.targets for s in self.segments])
-            self._stacked = (z, x)
-        return self._stacked
+        z = np.hstack([s.z for s in self.segments])
+        x = np.hstack([s.targets for s in self.segments])
+        return z, x
 
+    @cached_property
     def gram(self) -> np.ndarray:
         """Z Z^T / K over the stacked z columns, the data's part of the loss's
         quadratic form; computed once, like `stacked`."""
-        if self._gram is None:
-            z, _ = self.stacked()
-            self._gram = z @ z.T / z.shape[1]
-        return self._gram
+        z, _ = self.stacked
+        return z @ z.T / z.shape[1]
 
     @property
     def n_steps(self) -> int:
@@ -141,7 +138,7 @@ class WaveformDataset:
 
     def z_bounds(self) -> np.ndarray:
         """Per-row max |z| over the whole dataset (Lipschitz domain input)."""
-        z, _ = self.stacked()
+        z, _ = self.stacked
         return np.max(np.abs(z), axis=1)
 
 
@@ -257,15 +254,11 @@ def load_dataset(out_dir: Path) -> WaveformDataset:
     segments = []
     for entry in manifest["segments"]:
         spec = ModulationSpec(**entry["spec"])
-        rows = []
-        with open(out_dir / entry["file"], newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
+        with open(out_dir / entry["file"]) as fh:
+            header = fh.readline().rstrip("\n").split(",")
             if header != _SEGMENT_HEADER:
                 raise InvalidSpec(f"unexpected segment CSV header: {header}")
-            for row in reader:
-                rows.append([float(v) for v in row])
-        arr = np.asarray(rows, dtype=float)
+            arr = np.loadtxt(fh, delimiter=",", ndmin=2)
         z = arr[:, 1:4].T
         targets = arr[:, 4][np.newaxis, :]
         segments.append(Segment(z, targets, spec, entry["noise_sigma"], entry["settled"]))

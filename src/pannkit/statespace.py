@@ -7,16 +7,18 @@ implicit Euler rule into a one-step transition
     W = [(I - A dt)^-1 | (I - A dt)^-1 B dt],
 
 whose trainable parameters are the circuit parameters themselves. The module
-ships both the generic dense-solve route (`discretize`) and the closed-form
-dual-active-bridge concretization (`dab_transition`) with analytic first and
-second parameter derivatives; the two routes are kept independent so tests
-can cross-check them. Both evaluate one theta of shape (D_theta,) or a block
-of shape (B, D_theta); a block's tensors carry a leading batch axis.
+ships both the generic dense-solve route (`discretize`, at raw values) and
+the closed-form dual-active-bridge concretization (`dab_transition`) with
+analytic first and second parameter derivatives, d2W symmetric by
+construction; the two routes are kept independent so tests can cross-check
+them. Both evaluate one theta of shape (D_theta,) or a block of shape
+(B, D_theta); a block's tensors carry a leading batch axis.
 """
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -128,11 +130,10 @@ class DiscreteTransition:
     """W(theta) with its parameter-derivative tensors.
 
     dw_dtheta has shape (D_x, D_x + D_u, D_theta); d2w_dtheta2 appends one
-    more theta axis and is symmetric in the two theta indices. Either tensor
-    may be None when the source model lacks the corresponding derivatives.
-    d2W may also be given as a function of no arguments that builds it; it
-    is then built, and checked, when first read. For a block of thetas every
-    array has a leading axis of length B.
+    more theta axis. Either may be None when the model lacks it; d2W is
+    otherwise given as a builder (no arguments) that makes it symmetric in
+    its theta indices, run when d2W is first read. For a block of thetas
+    every array has a leading axis of length B.
     """
 
     def __init__(self, w, dw_dtheta: Optional[np.ndarray], d2w_dtheta2, dt: float):
@@ -140,14 +141,12 @@ class DiscreteTransition:
         if not np.isfinite(self.w).all():
             raise SingularDiscretization(f"non-finite transition matrix: {self.w}")
         self.dw_dtheta = dw_dtheta
-        self._d2w = d2w_dtheta2 if callable(d2w_dtheta2) else _symmetric(d2w_dtheta2)
+        self._build_d2w = d2w_dtheta2
         self.dt = dt
 
-    @property
+    @cached_property
     def d2w_dtheta2(self) -> Optional[np.ndarray]:
-        if callable(self._d2w):
-            self._d2w = _symmetric(self._d2w())
-        return self._d2w
+        return None if self._build_d2w is None else self._build_d2w()
 
     @property
     def dim_x(self) -> int:
@@ -158,24 +157,12 @@ class DiscreteTransition:
         return self.w.shape[-1]
 
 
-def _symmetric(d2w: Optional[np.ndarray]) -> Optional[np.ndarray]:
-    if d2w is not None and not (d2w == np.swapaxes(d2w, -2, -1)).all():
-        raise ValueError("d2W must be symmetric in its theta indices")
-    return d2w
-
-
-def discretize(model: ContinuousModel, theta: ParamVector, dt: float) -> DiscreteTransition:
-    """Implicit-Euler transition via a dense partial-pivot solve.
+def discretize(model: ContinuousModel, values: np.ndarray, dt: float) -> DiscreteTransition:
+    """Implicit-Euler transition at one theta's values via a dense partial-pivot solve.
 
     Derivative tensors are populated from dA/dB when the model provides them
     (second derivatives are never available on this route).
     """
-    if not theta.contains(theta.values):
-        raise OutOfBounds(f"theta {theta.values} outside its box")
-    return _discretize_values(model, theta.values, dt)
-
-
-def _discretize_values(model: ContinuousModel, values: np.ndarray, dt: float) -> DiscreteTransition:
     if dt <= 0:
         raise SingularDiscretization(f"dt must be positive, got {dt}")
     values = np.asarray(values, dtype=float)
@@ -225,7 +212,7 @@ def _dab_tensors(lk, rl, n, den, dt: float):
     dw = [s * rl, s * -lk, zero, -s, s * -dt, zero, s * n, s * (n * dt), s * -den]
 
     def d2w():
-        # d2W[z, i, j], symmetric in (i, j)
+        # d2W[z, i, j], symmetric by construction: one value per mixed partial
         d3 = np.float_power(den, 3)
         w1_01 = dt * (lk - rl * dt) / d3
         w2_01 = 2 * dt**2 / d3
@@ -335,8 +322,8 @@ def transition_values(model: ContinuousModel, values: np.ndarray, dt: float) -> 
     if model.closed_form is not None:
         return model.closed_form(values, dt)
     if values.ndim < 2:
-        return _discretize_values(model, values, dt)
-    rows = [_discretize_values(model, v, dt) for v in values]
+        return discretize(model, values, dt)
+    rows = [discretize(model, v, dt) for v in values]
     dw = None if rows[0].dw_dtheta is None else np.stack([r.dw_dtheta for r in rows])
     return DiscreteTransition(np.stack([r.w for r in rows]), dw, None, dt)
 

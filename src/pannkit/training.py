@@ -126,11 +126,11 @@ class LossStatistics:
         """Statistics referenced at one transition, or at each row of a block
         of them; then c and s carry the block's leading axis. The residual is
         the teacher-forced prediction's."""
-        z, x = dataset.stacked()
+        z, x = dataset.stacked
         k = z.shape[1]
         r = rollout_teacher_forced(ref, dataset) - x
         cross = z @ np.swapaxes(r, -2, -1) / k
-        return cls(ref.w, dataset.gram(), cross, np.sum(r * r, axis=(-2, -1)) / k)
+        return cls(ref.w, dataset.gram, cross, np.sum(r * r, axis=(-2, -1)) / k)
 
     def _slope(self, trans: DiscreteTransition) -> np.ndarray:
         """df/dW = dW G + c^T, per theta."""

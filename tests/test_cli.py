@@ -120,6 +120,9 @@ _MALFORMED = {
     "one-mc-pair": {"mc": {"n_z_pairs": 1}},
     "lambda-decay-one": {"adam": {"lambda_decay": 1.0}},
     "zero-excitation": {"excitation": {"v_in": 0.0, "v_out": 0.0}},
+    "tiny-dt": {"timing": {"dt": 1e-300}},
+    "tiny-fs": {"timing": {"f_s": 1e-300}},
+    "huge-seed": {"seed": 2**64},
 }
 
 
@@ -129,8 +132,9 @@ _MALFORMED = {
         *((o, []) for o in _MALFORMED.values()),
         ({}, ["--samples", "1"]),
         ({}, ["--strategies", "S3,S3"]),
+        ({}, ["--seed", "18446744073709551616"]),
     ],
-    ids=[*_MALFORMED, "one-sample", "repeated-strategies-flag"],
+    ids=[*_MALFORMED, "one-sample", "repeated-strategies-flag", "huge-seed-flag"],
 )
 def test_malformed_config_is_a_config_error(tmp_path, capsys, overrides, args):
     path = write_config(tmp_path, overrides)
@@ -149,6 +153,17 @@ def test_infeasible_allocation_is_an_error_line(tmp_path, capsys):
     assert main(["train", "--config", path, "--out", "o"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err, err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_box_is_a_numerical_failure(tmp_path, capsys):
+    """With L_k up to 1e308, d2W's 2 * L_k * dt^2 overflows to inf and
+    inf / inf is NaN; the supremum names the sample (numpy warns of the
+    overflow on the way)."""
+    path = write_config(tmp_path, {"theta": {"upper": [1e308, 3.0, 1.2]}})
+    assert main(["lipschitz", "--config", path, "--samples", "500", "--out", "o"]) == 2
+    err = capsys.readouterr().err
+    assert "numerical failure:" in err and "Traceback" not in err, err
 
 
 def test_yaml_numeric_string_loads_as_float(tmp_path):

@@ -1,5 +1,6 @@
 """Bound calculators and MC estimators: exact identities, scaling laws,
 dominance over empirical ratios, and the training monitor."""
+import json
 import re
 from dataclasses import asdict
 from fractions import Fraction
@@ -127,9 +128,9 @@ def test_mc_batched_and_per_point_maps_give_identical_reports(star, pairing, kin
 
     sampler = pk.BoxSampler(-np.array([30.0, 200.0, 200.0]), np.array([30.0, 200.0, 200.0]))
     kw = dict(pairing=pairing, n_samples=1100, seed=9, kind=kind)
-    per_point = pk.mc_estimate_lipschitz(f, sampler, **kw).to_dict()
-    batched = pk.mc_estimate_lipschitz(f, sampler, batched=True, **kw).to_dict()
-    assert per_point == batched
+    per_point = asdict(pk.mc_estimate_lipschitz(f, sampler, **kw))
+    batched = asdict(pk.mc_estimate_lipschitz(f, sampler, batched=True, **kw))
+    assert json.dumps(per_point, default=list) == json.dumps(batched, default=list)
 
 
 def test_mc_estimate_names_the_first_non_finite_sample():
@@ -240,7 +241,7 @@ def bump_model(nan_above=None):
              np.stack([cross, BUMP_M * (-2 * q0)], axis=-1)],
             axis=-1,
         )
-        return DiscreteTransition(w0 + BUMP_M * (q0 * q1) + BUMP_N * t0, dw, d2w, dt)
+        return DiscreteTransition(w0 + BUMP_M * (q0 * q1) + BUMP_N * t0, dw, lambda: d2w, dt)
 
     return pk.ContinuousModel(2, 2, 2, None, None, closed_form=closed_form)
 
@@ -256,7 +257,7 @@ def ramp_model():
         t = np.asarray(values, dtype=float)[..., None, :]
         w = w0 + m * t + p * (t * t)
         d2w = np.broadcast_to(2 * p, w.shape)[..., None, None]
-        return DiscreteTransition(w, (m + 2 * p * t)[..., None], d2w, dt)
+        return DiscreteTransition(w, (m + 2 * p * t)[..., None], lambda: d2w, dt)
 
     return pk.ContinuousModel(1, 2, 1, None, None, closed_form=closed_form)
 

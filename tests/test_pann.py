@@ -256,7 +256,7 @@ def test_settle_rejects_spectral_radius_at_least_one(w_x):
 def test_teacher_forced_matches_w_times_z(star, train_dataset):
     trans = pk.dab_transition(star, DT)
     pred = rollout_teacher_forced(trans, train_dataset)
-    z, targets = train_dataset.stacked()
+    z, targets = train_dataset.stacked
     assert pred.shape == targets.shape
     assert np.array_equal(pred, trans.w @ z)
     # the data was generated by this very transition, so predictions are exact
@@ -269,7 +269,7 @@ def test_teacher_forced_error_is_linear_in_w_offset(star, train_dataset):
     trans_star = pk.dab_transition(star, DT)
     other = pk.dab_params([80e-6, 1.0, 0.9])
     trans_other = pk.dab_transition(other, DT)
-    z, targets = train_dataset.stacked()
+    z, targets = train_dataset.stacked
     pred = rollout_teacher_forced(trans_other, train_dataset)
     assert np.allclose(
         pred - targets, (trans_other.w - trans_star.w) @ z, rtol=0, atol=1e-12

@@ -193,7 +193,7 @@ def test_save_is_reproducible_bytewise(tmp_path, star):
 
 
 def test_stacked_concatenates_all_segments(train_dataset):
-    z, x = train_dataset.stacked()
+    z, x = train_dataset.stacked
     assert z.shape == (3, 500)
     assert x.shape == (1, 500)
     assert train_dataset.n_steps == 500

@@ -167,7 +167,7 @@ def test_losses_near_the_optimum_match_a_long_double_reference(star, model, trai
     path (measured), far more than the 1e-12 the two agree to elsewhere; the
     reference recomputes W and the residual in long double from the same
     float data."""
-    z, x = train_dataset.stacked()
+    z, x = train_dataset.stacked
     stats = LossStatistics.of(train_dataset, pk.dab_transition(star, DT))
     rng = np.random.default_rng(41)
     thetas = star.values + rng.uniform(-offset, offset, size=(100, 3)) * star.ranges
