@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import copy
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -193,6 +194,19 @@ class ExperimentConfig:
             raise ConfigError(f"theta.lower must keep L_k + R_L*dt positive over the box, "
                               f"got {den:.6g}")
         self.model = dab_model(self.star)
+        # The closed form must be finite at every corner of the box, so a box
+        # whose W, dW or d2W overflows is a config error, not a warning.
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            for corner in itertools.product(*zip(th["lower"], th["upper"])):
+                try:
+                    trans = transition_values(self.model, np.array(corner), self.spec.dt)
+                    tensors = (trans.w, trans.dw_dtheta, trans.d2w_dtheta2)
+                    finite = all(np.isfinite(t).all() for t in tensors)
+                except ArithmeticError:  # numpy's FloatingPointError, or float ** overflowing
+                    finite = False
+                if not finite:
+                    raise ConfigError(f"the transition or its derivatives overflow at theta "
+                                      f"box corner {list(corner)}")
 
         # The study always evaluates the regret bound, whose constant term
         # divides by (1 - lambda)^2; AdamConfig's own rules cover the rest.
@@ -342,7 +356,7 @@ def compute_lipschitz_reports(
     domain = DomainSpec(star.lower, star.upper, z_bound, star.values)
     ginf, l2theta_star = _rate_constants(config, domain)
     sup = dict(n_samples=mc["n_theta_samples"], seed=config.seed)
-    shared = dict(pairing="mixed", seed=config.seed, batched=True)
+    shared = dict(seed=config.seed, batched=True)
     theta_box = BoxSampler(star.lower, star.upper)
 
     # The loss and gradient maps evaluate blocks of thetas from statistics
@@ -540,25 +554,27 @@ def _persist_sweep(
     return written + [train_dir / "comparison.json"]
 
 
-def _check_sweep(config: ExperimentConfig, comparison: dict, summaries: Dict[str, dict]) -> List[str]:
-    """Reproduction checks over the sweep outputs; returns failure messages."""
+def _check_sweep(config: ExperimentConfig, comparison: dict, summaries: Dict[str, dict],
+                 reports: Dict[str, LipschitzReport]) -> List[str]:
+    """The release check over a study's sweep and Lipschitz reports; returns
+    its failure messages, the L1z tightness check's last."""
+    l1z = reports["L1z"]
+    tight = l1z.empirical_max >= 0.99 * l1z.theoretical
+    last = [] if tight else ["L1z MC estimate below 0.99 of the theoretical value"]
     strategies = comparison["strategies"]
     if "S3" not in strategies or strategies["S3"]["diverged"]:
-        return ["S3 missing or diverged"]
+        return ["S3 missing or diverged", *last]
     failures: List[str] = []
     s3 = strategies["S3"]
     conv3 = s3["convergence_epoch"]
-    rel = s3["final_rel_err_pct"]
     if conv3 is None:
         failures.append("S3 did not converge to the 1% band")
-    tol_pct = [1.0, 5.0, 1.0]
-    for name, err, tol in zip(config.star.names, rel, tol_pct):
+    for name, err, tol in zip(config.star.names, s3["final_rel_err_pct"], [1.0, 5.0, 1.0]):
         if err > tol:
             failures.append(f"S3 final {name} error {err:.3f}% exceeds {tol}%")
     if max(s3["overshoot_pct"]) > 5.0:
         failures.append(f"S3 overshoot {max(s3['overshoot_pct']):.2f}% exceeds 5%")
-    final = np.asarray(summaries["S3"]["final_theta"])
-    if not config.star.contains(final):
+    if not config.star.contains(summaries["S3"]["final_theta"]):
         failures.append("S3 final theta left the box")
     reg = summaries["S3"]["regret"]
     curve = np.asarray(reg["curve"])
@@ -580,10 +596,9 @@ def _check_sweep(config: ExperimentConfig, comparison: dict, summaries: Dict[str
             failures.append(f"S3 ({conv3}) not faster than S1 ({conv1})")
     if "S5" in strategies:
         over5 = strategies["S5"].get("overshoot_pct", [0.0])[0]
-        over3 = s3["overshoot_pct"][0]
         if over5 <= 20.0:
             failures.append(f"S5 first-parameter overshoot {over5:.2f}% not above 20%")
-        if over5 <= over3:
+        if over5 <= s3["overshoot_pct"][0]:
             failures.append("S5 overshoot not above S3 overshoot")
     if "S6" in strategies:
         conv6 = strategies["S6"].get("convergence_epoch")
@@ -591,7 +606,7 @@ def _check_sweep(config: ExperimentConfig, comparison: dict, summaries: Dict[str
         slower = conv6 is None or (conv3 is not None and conv6 > conv3)
         if not (slower or over6 > 0.0):
             failures.append("S6 is neither slower than S3 nor overshooting")
-    return failures
+    return failures + last
 
 
 def cmd_reproduce(config: ExperimentConfig, out: Path, args: argparse.Namespace) -> int:
@@ -605,10 +620,7 @@ def cmd_reproduce(config: ExperimentConfig, out: Path, args: argparse.Namespace)
 
     check_results = None
     if args.check:
-        failures = _check_sweep(config, comparison, summaries)
-        tight = reports["L1z"].empirical_max >= 0.99 * reports["L1z"].theoretical
-        if not tight:
-            failures.append("L1z MC estimate below 0.99 of the theoretical value")
+        failures = _check_sweep(config, comparison, summaries, reports)
         check_results = {"failures": failures, "passed": not failures}
         write_json(check_results, out / "check.json")
         written.append(out / "check.json")

@@ -281,22 +281,18 @@ def _directions(g: np.ndarray, variant: np.ndarray, kind: NormKind) -> np.ndarra
     return np.choose(variant[:, None], [axis, corner, rand])
 
 
-def _draw_pairs(
-    sampler: BoxSampler, pairing: str, seed: int, block: int, kind: NormKind, delta: float
-):
-    """The _BLOCK pairs (a, b) of one block. Each draw is a (_BLOCK, dim) array
-    whose row j belongs to sample block*_BLOCK + j, however many are used."""
+def _draw_pairs(sampler: BoxSampler, seed: int, block: int, kind: NormKind, delta: float):
+    """The _BLOCK pairs (a, b) of one block: even samples pair a with an
+    independent draw, odd ones with a plus a perturbation of length delta.
+    Each draw is a (_BLOCK, dim) array whose row j belongs to sample
+    block*_BLOCK + j, however many are used."""
     rng = substream(seed, DOMAIN_MC, block)
     a = sampler.draw(rng, _BLOCK)
     far = sampler.draw(rng, _BLOCK)
     g = rng.standard_normal((_BLOCK, sampler.dim))
     i = block * _BLOCK + np.arange(_BLOCK)
     near = sampler.clip(a + delta * _directions(g, (i // 2) % 3, kind))
-    if pairing == "mixed":
-        local = i % 2 == 1
-    else:
-        local = np.full(_BLOCK, pairing == "local")
-    return a, np.where(local[:, None], near, far)
+    return a, np.where((i % 2 == 1)[:, None], near, far)
 
 
 def _per_point(f: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
@@ -320,25 +316,26 @@ def mc_estimate_lipschitz(
     """Max of ||f(a) - f(b)|| / ||a - b|| over sampled pairs.
 
     f maps one point to a vector, or with batched=True a (B, dim) block of
-    points to a (B, m) block of vectors. pairing: "random" (independent
-    pairs), "local" (a plus a perturbation 1e-6 times the sampler's widest
-    side), or "mixed" (alternating, the default). Coincident pairs, all of
-    them on a zero-width box, are skipped and counted; a non-finite ratio
-    raises NonFinite naming its sample.
+    points to a (B, m) block of vectors. Pairs alternate: an independent
+    pair, then a point and its perturbation by 1e-6 times the sampler's
+    widest side. pairing names that scheme: it takes only "mixed", and is
+    kept for callers that pass it.
+    Coincident pairs, all of them on a zero-width box, are skipped and
+    counted; a non-finite ratio raises NonFinite naming its sample.
     Sample i depends only on (seed, i), so the maximum over any prefix is
     reduction-order independent.
     """
     if n_samples < 2:
         raise DegenerateDomain(f"need at least 2 samples, got {n_samples}")
-    if pairing not in ("random", "local", "mixed"):
-        raise DegenerateDomain(f"unknown pairing {pairing!r}")
+    if pairing != "mixed":
+        raise DegenerateDomain(f"unknown pairing {pairing!r}; only 'mixed' is drawn")
     delta = 1e-6 * sampler.scale
     block_f = f if batched else _per_point(f)
     best = -1.0
     best_pair = None
     n_skipped = 0
     for start in range(0, n_samples, _BLOCK):
-        a, b = _draw_pairs(sampler, pairing, seed, start // _BLOCK, kind, delta)
+        a, b = _draw_pairs(sampler, seed, start // _BLOCK, kind, delta)
         a, b = a[: n_samples - start], b[: n_samples - start]
         dist = vec_norm(a - b, kind)
         kept = np.flatnonzero(dist >= 1e-300)
@@ -398,15 +395,6 @@ class MonitorReport:
     satisfied: bool
 
 
-def _sq_norms(d: np.ndarray) -> np.ndarray:
-    """Squared 2-norms over the last axis, summed left to right, which is how
-    np.linalg.norm sums rows of fewer than 8 coordinates."""
-    sq = d[..., 0] * d[..., 0]
-    for j in range(1, d.shape[-1]):
-        sq += d[..., j] * d[..., j]
-    return sq
-
-
 def _diameter(points: np.ndarray) -> float:
     """The largest pairwise 2-norm distance of the rows of `points`, each
     pair rounded as its own subtraction, squares and sum round; NaN if any
@@ -423,18 +411,20 @@ def _diameter(points: np.ndarray) -> float:
     """
     if not np.isfinite(points).all():
         return float("nan")
+    # Squared distances are np.linalg.norm's own reduction, np.sum over the
+    # last axis, which adds fewer than 8 coordinates left to right.
     # Seed: the point farthest from the point farthest from the first.
-    far = points[np.argmax(_sq_norms(points - points[0]))]
-    best = float(np.max(_sq_norms(points - far)))
+    far = points[np.argmax(np.sum((points - points[0]) ** 2, axis=-1))]
+    best = float(np.max(np.sum((points - far) ** 2, axis=-1)))
     blocks = [points[i : i + _DIAMETER_BLOCK] for i in range(0, len(points), _DIAMETER_BLOCK)]
     lo = np.array([b.min(axis=0) for b in blocks])
     hi = np.array([b.max(axis=0) for b in blocks])
-    bound = _sq_norms(np.maximum(hi - lo[:, None], hi[:, None] - lo))
+    bound = np.sum(np.maximum(hi - lo[:, None], hi[:, None] - lo) ** 2, axis=-1)
     first, second = np.triu_indices(len(blocks))
     for a, b in sorted(zip(first, second), key=lambda ab: -bound[ab]):
         if bound[a, b] < best:
             break
-        best = max(best, float(np.max(_sq_norms(blocks[b] - blocks[a][:, None]))))
+        best = max(best, float(np.max(np.sum((blocks[b] - blocks[a][:, None]) ** 2, axis=-1))))
     return float(np.sqrt(best))
 
 

@@ -413,12 +413,10 @@ def training_diagnostics(trace: TrainingTrace, theta_star: np.ndarray) -> Diagno
     thetas = trace.records.theta
     gap = theta_star - trace.theta0.values
 
-    overshoot = np.zeros(theta_star.size)
-    for i in range(theta_star.size):
-        if gap[i] == 0.0:
-            continue
-        excursion = np.sign(gap[i]) * (thetas[:, i] - theta_star[i])
-        overshoot[i] = max(0.0, float(np.max(excursion))) / abs(gap[i]) * 100.0
+    peak = np.max(np.sign(gap) * (thetas - theta_star), axis=0)
+    # A peak that is not positive, NaN and -0.0 among them, reads 0.0.
+    peak = np.where(peak > 0, peak, 0.0)
+    overshoot = np.divide(peak, np.abs(gap), out=np.zeros_like(gap), where=gap != 0) * 100.0
 
     rel = np.abs(thetas - theta_star) / np.abs(theta_star)
     within = np.all(rel <= 0.01, axis=1)

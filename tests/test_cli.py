@@ -1,7 +1,9 @@
 """End-to-end command checks: config handling, artifact layout, determinism,
 and the exit-code contract."""
+import copy
 import hashlib
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +15,8 @@ import pannkit as pk
 from pannkit.cli import (
     OUT_ENV_VAR,
     ExperimentConfig,
+    _check_sweep,
+    compute_lipschitz_reports,
     default_config,
     load_config,
     main,
@@ -31,12 +35,17 @@ def isolated_cwd(tmp_path, monkeypatch):
 
 
 def write_config(tmp_path, overrides):
-    raw = default_config()
-    for section, sub in overrides.items():
-        if isinstance(sub, dict):
-            raw.setdefault(section, {}).update(sub)
-        else:
-            raw[section] = sub
+    """The defaults with overrides merged in, written as YAML; a list is
+    written as it is, a config root that is no mapping."""
+    if isinstance(overrides, list):
+        raw = overrides
+    else:
+        raw = default_config()
+        for section, sub in overrides.items():
+            if isinstance(sub, dict):
+                raw.setdefault(section, {}).update(sub)
+            else:
+                raw[section] = sub
     path = tmp_path / "config.yaml"
     path.write_text(yaml.safe_dump(raw))
     return str(path)
@@ -123,6 +132,10 @@ _MALFORMED = {
     "tiny-dt": {"timing": {"dt": 1e-300}},
     "tiny-fs": {"timing": {"f_s": 1e-300}},
     "huge-seed": {"seed": 2**64},
+    "unknown-strategy": {"strategies": ["S9"]},
+    "list-root": [{"seed": 1}],
+    "flat-box-coordinate": {"theta": {"lower": [10e-6, 0.01, 1.0], "upper": [200e-6, 3.0, 1.0]}},
+    "overflowing-dt": {"timing": {"dt": 1e200, "f_s": 1e-201}},
 }
 
 
@@ -155,15 +168,17 @@ def test_infeasible_allocation_is_an_error_line(tmp_path, capsys):
     assert err.startswith("error:") and "Traceback" not in err, err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflowing_box_is_a_numerical_failure(tmp_path, capsys):
-    """With L_k up to 1e308, d2W's 2 * L_k * dt^2 overflows to inf and
-    inf / inf is NaN; the supremum names the sample (numpy warns of the
-    overflow on the way)."""
+    """With L_k up to 1e308, (L_k + R_L dt)^2 and d2W's 2 * L_k * dt^2
+    overflow at the box's upper L_k corners. The config check evaluates the
+    closed form at each corner first, so the run ends in one error line
+    naming the first such corner, and numpy prints no warning."""
     path = write_config(tmp_path, {"theta": {"upper": [1e308, 3.0, 1.2]}})
-    assert main(["lipschitz", "--config", path, "--samples", "500", "--out", "o"]) == 2
-    err = capsys.readouterr().err
-    assert "numerical failure:" in err and "Traceback" not in err, err
+    assert main(["lipschitz", "--config", path, "--samples", "500", "--out", "o"]) == 1
+    assert capsys.readouterr().err == (
+        "error: the transition or its derivatives overflow at theta box corner "
+        "[1e+308, 0.01, 0.8]\n"
+    )
 
 
 def test_yaml_numeric_string_loads_as_float(tmp_path):
@@ -396,6 +411,126 @@ def test_reproduce_check_fails_fast_runs(tmp_path, capsys):
     assert not check["passed"]
     assert any("S3" in msg for msg in check["failures"])
     assert "CHECK FAIL" in capsys.readouterr().out
+
+
+def test_reproduce_check_passes_at_the_defaults(capsys):
+    assert main(["reproduce", "--check", "--seed", "0", "--out", "r"]) == 0
+    out = capsys.readouterr().out
+    assert "CHECK PASS: all reproduction checks satisfied\n" in out and "CHECK FAIL" not in out
+    assert json.loads(Path("r/check.json").read_text()) == {"failures": [], "passed": True}
+    assert "check.json" in json.loads(Path("r/manifest.json").read_text())["files"]
+
+
+@pytest.fixture(scope="module")
+def release_sweep():
+    """The default study's sweep and Lipschitz reports at seed 0, which pass
+    the release check."""
+    config = ExperimentConfig(default_config())
+    train = synth_role(config, "train")
+    reports = compute_lipschitz_reports(config, train)
+    return (config, *run_strategy_sweep(config, train, reports), reports)
+
+
+_LOOSE_L1Z = "L1z MC estimate below 0.99 of the theoretical value"
+_REGRET = np.arange(1.0, 201.0) ** 0.4  # nondecreasing; its average more than halves
+_DIP = np.arange(200) == 1  # lowers the second epoch's regret by 1, below the first's
+# Each case changes a copy of the passing sweep: entries of the comparison's
+# strategies (None drops one), of S3's summary and regret, and the ratio of
+# the L1z estimate to its theoretical value. The message list is exact.
+_RELEASE_FAILURES = {
+    "unchanged": ({}, []),
+    "S3-missing": ({"strategies": {"S3": None}}, ["S3 missing or diverged"]),
+    "S3-diverged-and-L1z-loose": (
+        {"strategies": {"S3": {"diverged": True}}, "l1z_ratio": 0.98},
+        ["S3 missing or diverged", _LOOSE_L1Z],
+    ),
+    "S3-unconverged": (
+        {"strategies": {"S3": {"convergence_epoch": None}}},
+        ["S3 did not converge to the 1% band"],
+    ),
+    "S3-final-errors": (
+        {"strategies": {"S3": {"final_rel_err_pct": [2.0, 6.0, 1.5]}}},
+        ["S3 final L_k error 2.000% exceeds 1.0%", "S3 final R_L error 6.000% exceeds 5.0%",
+         "S3 final n error 1.500% exceeds 1.0%"],
+    ),
+    "S3-overshoot": (
+        {"strategies": {"S3": {"overshoot_pct": [1.0, 6.0, 0.0]}}},
+        ["S3 overshoot 6.00% exceeds 5%"],
+    ),
+    "S3-left-box": ({"S3": {"final_theta": [1e-3, 1.8, 1.0]}}, ["S3 final theta left the box"]),
+    "regret-dips": (
+        {"regret": {"curve": _REGRET - _DIP}}, ["S3 regret curve is not nondecreasing"],
+    ),
+    "regret-linear": (
+        {"regret": {"curve": np.arange(1.0, 201.0)}},
+        ["S3 average regret did not halve from T/4 to T"],
+    ),
+    "regret-slope-high": ({"regret": {"slope": 0.75}}, ["S3 regret slope 0.75 outside [0.3, 0.7]"]),
+    "regret-slope-none": ({"regret": {"slope": None}}, ["S3 regret slope None outside [0.3, 0.7]"]),
+    "regret-bound-exceeded": (
+        {"S3": {"regret_bound_dominates": False}}, ["S3 regret exceeded its bound at some epoch"],
+    ),
+    "S1-faster": (
+        {"strategies": {"S1": {"convergence_epoch": 100}, "S3": {"convergence_epoch": 120}}},
+        ["S3 (120) not faster than S1 (100)"],
+    ),
+    "S5-overshoot-low": (
+        {"strategies": {"S5": {"overshoot_pct": [10.0, 0.0, 0.0]}}},
+        ["S5 first-parameter overshoot 10.00% not above 20%"],
+    ),
+    "S5-overshoot-below-S3": (
+        {"strategies": {"S3": {"overshoot_pct": [4.0, 0.0, 0.0]},
+                        "S5": {"overshoot_pct": [3.0, 0.0, 0.0]}}},
+        ["S5 first-parameter overshoot 3.00% not above 20%",
+         "S5 overshoot not above S3 overshoot"],
+    ),
+    "S6-fast-and-flat": (
+        {"strategies": {"S3": {"convergence_epoch": 120},
+                        "S6": {"convergence_epoch": 100, "overshoot_pct": [0.0, 0.0, 0.0]}}},
+        ["S6 is neither slower than S3 nor overshooting"],
+    ),
+    "L1z-loose": ({"l1z_ratio": 0.98}, [_LOOSE_L1Z]),
+    "all-but-S3-missing-or-unconverged": (
+        {
+            "strategies": {
+                "S1": {"convergence_epoch": 100},
+                "S3": {"convergence_epoch": 120, "final_rel_err_pct": [2.0, 6.0, 1.5],
+                       "overshoot_pct": [6.0, 0.0, 0.0]},
+                "S5": {"overshoot_pct": [3.0, 0.0, 0.0]},
+                "S6": {"convergence_epoch": 100, "overshoot_pct": [0.0, 0.0, 0.0]},
+            },
+            "S3": {"final_theta": [1e-3, 1.8, 1.0], "regret_bound_dominates": False},
+            "regret": {"curve": np.arange(1.0, 201.0) - 2 * _DIP, "slope": 0.9},
+            "l1z_ratio": 0.5,
+        },
+        ["S3 final L_k error 2.000% exceeds 1.0%", "S3 final R_L error 6.000% exceeds 5.0%",
+         "S3 final n error 1.500% exceeds 1.0%", "S3 overshoot 6.00% exceeds 5%",
+         "S3 final theta left the box", "S3 regret curve is not nondecreasing",
+         "S3 average regret did not halve from T/4 to T",
+         "S3 regret slope 0.9 outside [0.3, 0.7]", "S3 regret exceeded its bound at some epoch",
+         "S3 (120) not faster than S1 (100)", "S5 first-parameter overshoot 3.00% not above 20%",
+         "S5 overshoot not above S3 overshoot", "S6 is neither slower than S3 nor overshooting",
+         _LOOSE_L1Z],
+    ),
+}
+
+
+@pytest.mark.parametrize("change,expected", _RELEASE_FAILURES.values(), ids=_RELEASE_FAILURES)
+def test_release_check_reports_each_failure(release_sweep, change, expected):
+    config = release_sweep[0]
+    comparison, summaries, reports = copy.deepcopy(release_sweep[1:])
+    strategies = comparison["strategies"]
+    for label, entries in change.get("strategies", {}).items():
+        if entries is None:
+            del strategies[label]
+        else:
+            strategies[label].update(entries)
+    summaries["S3"].update(change.get("S3", {}))
+    summaries["S3"]["regret"].update(change.get("regret", {}))
+    if "l1z_ratio" in change:
+        l1z = reports["L1z"]
+        reports["L1z"] = replace(l1z, empirical_max=change["l1z_ratio"] * l1z.theoretical)
+    assert _check_sweep(config, comparison, summaries, reports) == expected
 
 
 def test_reproduce_manifest_attests_only_this_run(tmp_path):

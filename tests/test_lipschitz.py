@@ -10,9 +10,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import pannkit as pk
-from pannkit.errors import BoundViolation, DegenerateDomain, MissingDerivatives, NonFinite
+from pannkit.errors import (
+    BoundViolation, DegenerateDomain, MissingDerivatives, NonFinite, NonPositiveBound,
+)
 from pannkit.lipschitz import LipschitzReport, dab_l1z_values, sample_thetas, theorem2_monitor
 from pannkit.norms import NormKind, d2w_norm, dw_norm, mat_norm, vec_norm
+from pannkit.rng import DOMAIN_MC, substream
 from pannkit.statespace import DiscreteTransition, ParamVector
 from pannkit.training import TrainingTrace, epoch_records, gradient, hessian
 
@@ -118,7 +121,7 @@ def test_mc_estimate_is_seeded_and_prefix_monotone(star):
         )
 
 
-@pytest.mark.parametrize("pairing", ["mixed", "random", "local"])
+@pytest.mark.parametrize("pairing", ["mixed"])
 @pytest.mark.parametrize("kind", [NormKind.INFINITY, NormKind.TWO])
 def test_mc_batched_and_per_point_maps_give_identical_reports(star, pairing, kind):
     w = pk.dab_transition(star, DT).w[0]
@@ -163,6 +166,22 @@ def test_mc_estimate_rejects_degenerate_setups():
         pk.mc_estimate_lipschitz(
             lambda z: z, pk.BoxSampler(np.zeros(2), np.ones(2)), pairing="weird"
         )
+
+
+def test_boxes_reject_inverted_bounds():
+    with pytest.raises(NonPositiveBound, match="lower <= upper"):
+        pk.DomainSpec(np.ones(2), np.zeros(2), np.ones(2), np.ones(2))
+    with pytest.raises(NonPositiveBound, match="z bounds must be nonnegative"):
+        pk.DomainSpec(np.zeros(2), np.ones(2), -np.ones(2), np.zeros(2))
+    with pytest.raises(DegenerateDomain, match="lower <= upper"):
+        pk.BoxSampler(np.ones(2), np.zeros(2))
+
+
+def test_substream_index_fits_in_48_bits():
+    substream(0, DOMAIN_MC, 2**48 - 1)
+    for index in (-1, 2**48):
+        with pytest.raises(ValueError, match=f"substream index out of range: {index}"):
+            substream(0, DOMAIN_MC, index)
 
 
 def test_report_rejects_bound_violation():

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import pannkit as pk
 from pannkit.errors import EmptyDataset, InvalidSpec
-from pannkit.signals import dab_pwm, step_inputs_one_period, write_csv
+from pannkit.signals import Segment, dab_pwm, step_inputs_one_period, write_csv
 from pannkit.training import loss
 
 from conftest import quick_dataset
@@ -179,6 +179,24 @@ def test_dataset_round_trip_is_exact(tmp_path, star):
         assert np.array_equal(orig.targets, loaded.targets)
         assert loaded.spec == orig.spec
         assert loaded.noise_sigma == orig.noise_sigma
+
+
+def test_segment_rejects_mismatched_or_non_finite_columns():
+    spec = pk.ModulationSpec()
+    with pytest.raises(InvalidSpec, match="z has 4 steps but targets 3"):
+        Segment(np.zeros((3, 4)), np.zeros((1, 3)), spec, 0.0, True)
+    with pytest.raises(InvalidSpec, match="targets contain non-finite values"):
+        Segment(np.zeros((3, 2)), [[0.0, np.inf]], spec, 0.0, True)
+
+
+def test_load_rejects_a_segment_with_a_wrong_header(tmp_path, star):
+    ds = pk.synthesize_dataset(star, pk.draw_modulation_specs(1, seed=0), seed=0)
+    pk.save_dataset(ds, tmp_path, seed=0)
+    path = tmp_path / "segment_000.csv"
+    rows = path.read_text().split("\n", 1)[1]
+    path.write_text("time,i_L,v_p,v_s\n" + rows)
+    with pytest.raises(InvalidSpec, match="unexpected segment CSV header"):
+        pk.load_dataset(tmp_path)
 
 
 def test_save_is_reproducible_bytewise(tmp_path, star):

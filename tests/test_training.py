@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import pannkit as pk
-from pannkit.errors import ConfigError, DivergentBound, NonPositiveBound
+from pannkit.errors import ConfigError, DivergentBound, EmptyTrace, NonPositiveBound
+from pannkit.lipschitz import theorem2_monitor
 from pannkit.signals import Segment, WaveformDataset
 from pannkit.statespace import DAB_THETA_STAR, DiscreteTransition, ParamVector
 from pannkit.training import (
@@ -563,6 +564,30 @@ def test_diagnostics_overshoot_uses_initial_gap():
     assert diag.overshoot_pct[0] == pytest.approx(20.0), "0.1 beyond over a 0.5 gap"
 
 
+def test_diagnostics_overshoot_equals_the_per_parameter_loop():
+    """The overshoot expression against a loop over the parameters, bit for
+    bit: runs that land exactly on theta* from below or above (a -0.0
+    excursion), parameters that start on their target, NaN iterates and
+    ordinary runs."""
+    rng = np.random.default_rng(5)
+    star = np.array([1.0, 1.8, 1.0])
+    for case in range(300):
+        theta0 = star - rng.choice([0.0, 0.5, -0.5, 1e-3], size=3)
+        gap = star - theta0
+        if case % 2:
+            thetas = star - gap * np.linspace(1.0, 0.0, 20)[:, None]
+        else:
+            thetas = star + rng.standard_normal((20, 3)) * rng.choice([0.0, 1.0, 1e-9], size=3)
+        if case % 7 == 0:
+            thetas[3, 0] = np.nan
+        got = training_diagnostics(make_trace(thetas, theta0), star).overshoot_pct
+        want = np.zeros(3)
+        for i in np.flatnonzero(gap):
+            excursion = np.sign(gap[i]) * (thetas[:, i] - star[i])
+            want[i] = max(0.0, float(np.max(excursion))) / abs(gap[i]) * 100.0
+        assert got.tobytes() == want.tobytes(), (case, got, want)
+
+
 def test_diagnostics_counts_oscillations():
     # sign sequence +,-,+,- has three flips; the first is the initial approach
     trace = make_trace(
@@ -587,6 +612,16 @@ def test_diagnostics_none_when_not_converged():
     )
     diag = training_diagnostics(trace, np.array([1.0, 1.8, 1.0]))
     assert diag.convergence_epoch is None
+
+
+def test_trace_readers_need_an_epoch(star):
+    trace = TrainingTrace(epoch_records(0, star.dim), "S3", star)
+    with pytest.raises(EmptyTrace, match="regret needs at least one epoch"):
+        regret_ledger(trace)
+    with pytest.raises(EmptyTrace, match="diagnostics need at least one epoch"):
+        training_diagnostics(trace, star.values)
+    with pytest.raises(EmptyTrace, match="monitor needs at least one epoch"):
+        theorem2_monitor(trace)
 
 
 def test_trace_csv_round_trip(tmp_path, star, model, train_dataset):
